@@ -57,18 +57,7 @@ pub fn node_count(n: u64) -> u64 {
 /// Positions of the forest peaks (complete-subtree roots) for `n` leaves,
 /// left to right.
 pub fn peak_positions(n: u64) -> Vec<u64> {
-    let mut peaks = Vec::new();
-    let mut remaining = n;
-    let mut offset = 0u64;
-    while remaining > 0 {
-        let height = 63 - remaining.leading_zeros() as u64;
-        let leaves = 1u64 << height;
-        let subtree_nodes = 2 * leaves - 1;
-        peaks.push(offset + subtree_nodes - 1);
-        offset += subtree_nodes;
-        remaining -= leaves;
-    }
-    peaks
+    peak_spans(n).map(|(pos, _, _)| pos).collect()
 }
 
 /// One sibling step in a membership proof.
@@ -289,31 +278,23 @@ impl Shrubs {
     }
 }
 
-/// Does the sorted `targets` slice contain an index in `[lo, hi)`?
-/// Binary search keeps batch proof generation at O((m + log n) · log m)
-/// instead of the naive O(m²).
-fn range_has_target(targets: &[u64], lo: u64, hi: u64) -> bool {
-    let start = targets.partition_point(|&t| t < lo);
-    targets.get(start).is_some_and(|&t| t < hi)
-}
-
 /// Peak decomposition of `n` leaves: `(position, height, first_leaf)` per
 /// peak, left to right.
-fn peak_spans(n: u64) -> Vec<(u64, u32, u64)> {
-    let mut out = Vec::new();
-    let mut remaining = n;
-    let mut pos_offset = 0u64;
-    let mut leaf_offset = 0u64;
-    while remaining > 0 {
+fn peak_spans(n: u64) -> impl Iterator<Item = (u64, u32, u64)> {
+    let (mut remaining, mut pos_offset, mut leaf_offset) = (n, 0u64, 0u64);
+    std::iter::from_fn(move || {
+        if remaining == 0 {
+            return None;
+        }
         let height = 63 - remaining.leading_zeros();
         let leaves = 1u64 << height;
         let nodes = 2 * leaves - 1;
-        out.push((pos_offset + nodes - 1, height, leaf_offset));
+        let span = (pos_offset + nodes - 1, height, leaf_offset);
         pos_offset += nodes;
         leaf_offset += leaves;
         remaining -= leaves;
-    }
-    out
+        Some(span)
+    })
 }
 
 /// A batch membership proof for a set of leaves.
@@ -326,9 +307,11 @@ fn peak_spans(n: u64) -> Vec<(u64, u32, u64)> {
 pub struct ShrubsBatchProof {
     /// Leaf count of the snapshot proven against.
     pub leaf_count: u64,
-    /// Sorted indices of the target leaves.
+    /// Indices of the target leaves, strictly ascending.
     pub indices: Vec<u64>,
-    /// `(post-order position, digest)` of each non-derivable subtree root.
+    /// `(post-order position, digest)` of each non-derivable subtree
+    /// root, in the order an in-order descent of the forest meets them
+    /// (the only order [`Shrubs::verify_batch`] accepts).
     pub provided: Vec<(u64, Digest)>,
 }
 
@@ -361,41 +344,50 @@ impl Shrubs {
             }
         }
         let mut provided = Vec::new();
+        let mut targets = idx.as_slice();
         for (pos, height, first_leaf) in peak_spans(self.leaf_count) {
-            self.collect_batch(pos, height, first_leaf, &idx, &mut provided);
+            self.collect_batch(pos, height, first_leaf, &mut targets, &mut provided);
         }
         Ok(ShrubsBatchProof { leaf_count: self.leaf_count, indices: idx, provided })
     }
 
-    /// Recursive collector: emit the subtree root digest for any subtree
-    /// containing no target leaf whose sibling branch does contain one.
+    /// In-order descent of the subtree at `pos`: emit its root digest if
+    /// it holds no target leaf, else recurse. `targets` is the sorted
+    /// remainder not yet passed, so "holds a target" is one comparison
+    /// with its head. The emission order — left to right, top-down — is
+    /// the canonical order [`Shrubs::verify_batch`] insists on.
     fn collect_batch(
         &self,
         pos: u64,
         height: u32,
         first_leaf: u64,
-        targets: &[u64],
+        targets: &mut &[u64],
         out: &mut Vec<(u64, Digest)>,
     ) {
         let leaf_hi = first_leaf + (1u64 << height);
-        let has_target = range_has_target(targets, first_leaf, leaf_hi);
-        if !has_target {
+        if targets.first().is_none_or(|&t| t >= leaf_hi) {
             out.push((pos, self.nodes[pos as usize]));
             return;
         }
         if height == 0 {
-            return; // Target leaf: the verifier supplies it.
+            *targets = &targets[1..]; // Target leaf: the verifier supplies it.
+            return;
         }
         let child_nodes = (1u64 << height) - 1;
-        let right = pos - 1;
-        let left = pos - 1 - child_nodes;
         let mid = first_leaf + (1u64 << (height - 1));
-        self.collect_batch(left, height - 1, first_leaf, targets, out);
-        self.collect_batch(right, height - 1, mid, targets, out);
+        self.collect_batch(pos - 1 - child_nodes, height - 1, first_leaf, targets, out);
+        self.collect_batch(pos - 1, height - 1, mid, targets, out);
     }
 
     /// Verify a batch proof: `entries` pairs each target index with the
-    /// claimed leaf digest; all must be present exactly once.
+    /// claimed leaf digest, in ascending index order.
+    ///
+    /// One in-order walk of the forest that does nothing but hash: the
+    /// target leaves and the `provided` cells are consumed through two
+    /// cursors in exactly the order the prover's descent emits them. A
+    /// proof has one valid encoding — indices strictly ascending,
+    /// `provided` in descent order, nothing left over — so padded,
+    /// duplicated, reordered or misplaced cells are `MalformedProof`.
     pub fn verify_batch(
         root: &Digest,
         entries: &[(u64, Digest)],
@@ -404,25 +396,19 @@ impl Shrubs {
         if entries.len() != proof.indices.len() {
             return Err(AccumulatorError::MalformedProof("entry/index count mismatch"));
         }
-        let mut leaf_map = std::collections::HashMap::with_capacity(entries.len());
-        for (i, d) in entries {
-            if leaf_map.insert(*i, *d).is_some() {
-                return Err(AccumulatorError::MalformedProof("duplicate entry index"));
-            }
+        if proof.leaf_count > MAX_LEAVES {
+            return Err(AccumulatorError::MalformedProof("leaf count out of range"));
         }
-        for idx in &proof.indices {
-            if !leaf_map.contains_key(idx) {
-                return Err(AccumulatorError::MalformedProof("entry missing for index"));
-            }
-        }
-        let provided: std::collections::HashMap<u64, Digest> =
-            proof.provided.iter().copied().collect();
-        let mut frontier = Vec::new();
+        let mut walk = BatchWalk { proof, entries, next_target: 0, next_provided: 0 };
+        let mut frontier = Vec::with_capacity(proof.leaf_count.count_ones() as usize);
         for (pos, height, first_leaf) in peak_spans(proof.leaf_count) {
-            let digest =
-                Self::compute_batch(pos, height, first_leaf, &leaf_map, &provided, &proof.indices)
-                    .ok_or(AccumulatorError::MalformedProof("underivable subtree"))?;
-            frontier.push(digest);
+            frontier.push(walk.subtree(pos, height, first_leaf)?);
+        }
+        if walk.next_target != entries.len() {
+            return Err(AccumulatorError::MalformedProof("target index out of order or range"));
+        }
+        if walk.next_provided != proof.provided.len() {
+            return Err(AccumulatorError::MalformedProof("unused proof cells"));
         }
         if Self::root_of_frontier(&frontier) == *root {
             Ok(())
@@ -430,29 +416,54 @@ impl Shrubs {
             Err(AccumulatorError::ProofMismatch)
         }
     }
+}
 
-    fn compute_batch(
-        pos: u64,
-        height: u32,
-        first_leaf: u64,
-        leaves: &std::collections::HashMap<u64, Digest>,
-        provided: &std::collections::HashMap<u64, Digest>,
-        targets: &[u64],
-    ) -> Option<Digest> {
+/// Largest leaf count whose post-order positions fit a `u64`; a batch
+/// proof claiming more is rejected before any position arithmetic.
+const MAX_LEAVES: u64 = 1 << 62;
+
+/// Cursor state of one [`Shrubs::verify_batch`] walk.
+struct BatchWalk<'a> {
+    proof: &'a ShrubsBatchProof,
+    entries: &'a [(u64, Digest)],
+    /// Next unconsumed slot of `proof.indices` / `entries`.
+    next_target: usize,
+    /// Next unconsumed slot of `proof.provided`.
+    next_provided: usize,
+}
+
+impl BatchWalk<'_> {
+    /// Digest of the subtree at `pos`, mirroring
+    /// [`Shrubs::collect_batch`] step for step.
+    fn subtree(&mut self, pos: u64, height: u32, first_leaf: u64) -> Result<Digest, AccumulatorError> {
         let leaf_hi = first_leaf + (1u64 << height);
-        if !range_has_target(targets, first_leaf, leaf_hi) {
-            return provided.get(&pos).copied();
+        let target = self.proof.indices.get(self.next_target).copied();
+        if target.is_none_or(|t| t >= leaf_hi) {
+            // No target below: this is the cell the prover emitted next.
+            return match self.proof.provided.get(self.next_provided) {
+                Some(&(p, digest)) if p == pos => {
+                    self.next_provided += 1;
+                    Ok(digest)
+                }
+                Some(_) => Err(AccumulatorError::MalformedProof("proof cell out of canonical order")),
+                None => Err(AccumulatorError::MalformedProof("underivable subtree")),
+            };
         }
         if height == 0 {
-            return leaves.get(&first_leaf).copied();
+            // An unsorted or repeated index surfaces here: the head is
+            // below `leaf_hi` but is not this leaf.
+            let (index, digest) = self.entries[self.next_target];
+            if target != Some(first_leaf) || index != first_leaf {
+                return Err(AccumulatorError::MalformedProof("entry does not match target index"));
+            }
+            self.next_target += 1;
+            return Ok(digest);
         }
         let child_nodes = (1u64 << height) - 1;
-        let right_pos = pos - 1;
-        let left_pos = pos - 1 - child_nodes;
         let mid = first_leaf + (1u64 << (height - 1));
-        let l = Self::compute_batch(left_pos, height - 1, first_leaf, leaves, provided, targets)?;
-        let r = Self::compute_batch(right_pos, height - 1, mid, leaves, provided, targets)?;
-        Some(hash_pair(&l, &r))
+        let left = self.subtree(pos - 1 - child_nodes, height - 1, first_leaf)?;
+        let right = self.subtree(pos - 1, height - 1, mid)?;
+        Ok(hash_pair(&left, &right))
     }
 }
 

@@ -4,7 +4,7 @@
 use crate::proof::BinProof;
 use crate::BinTrieError;
 use ledgerdb_crypto::digest::Digest;
-use ledgerdb_crypto::sha256::Sha256;
+use ledgerdb_crypto::sha256::{sha256, Sha256};
 use ledgerdb_pool::Pool;
 use std::sync::OnceLock;
 
@@ -23,9 +23,7 @@ pub(crate) fn path_bit(hash: &[u8; 32], i: u32) -> bool {
 /// The routing hash of a key.
 #[inline]
 pub(crate) fn route(key: &[u8]) -> [u8; 32] {
-    let mut h = Sha256::new();
-    h.update(key);
-    h.finalize()
+    sha256(key).0
 }
 
 enum NodeKind {
@@ -53,24 +51,11 @@ impl Node {
     /// first [`LINK_LEN`] bytes of each child hash plus the split bit;
     /// a leaf commits its full key and value, length-prefixed.
     fn hash(&self) -> Digest {
-        *self.hash.get_or_init(|| {
-            let mut h = Sha256::new();
-            match &self.kind {
-                NodeKind::Leaf { key, value } => {
-                    h.update(&[0x00]);
-                    h.update(&(key.len() as u64).to_be_bytes());
-                    h.update(key);
-                    h.update(&(value.len() as u64).to_be_bytes());
-                    h.update(value);
-                }
-                NodeKind::Branch { bit, left, right } => {
-                    h.update(&[0x01]);
-                    h.update(&bit.to_be_bytes());
-                    h.update(&left.hash().0[..LINK_LEN]);
-                    h.update(&right.hash().0[..LINK_LEN]);
-                }
+        *self.hash.get_or_init(|| match &self.kind {
+            NodeKind::Leaf { key, value } => leaf_hash(key, value),
+            NodeKind::Branch { bit, left, right } => {
+                branch_hash(*bit, &link(&left.hash()), &link(&right.hash()))
             }
-            Digest(h.finalize())
         })
     }
 
@@ -82,12 +67,13 @@ impl Node {
 /// Combine a parent hash from a split bit and two child links. This is
 /// the only hashing rule proof verification needs.
 pub(crate) fn branch_hash(bit: u32, left: &[u8; LINK_LEN], right: &[u8; LINK_LEN]) -> Digest {
-    let mut h = Sha256::new();
-    h.update(&[0x01]);
-    h.update(&bit.to_be_bytes());
-    h.update(left);
-    h.update(right);
-    Digest(h.finalize())
+    // Fixed 37-byte preimage: one one-shot, single-block digest.
+    let mut pre = [0u8; 1 + 4 + 2 * LINK_LEN];
+    pre[0] = 0x01;
+    pre[1..5].copy_from_slice(&bit.to_be_bytes());
+    pre[5..5 + LINK_LEN].copy_from_slice(left);
+    pre[5 + LINK_LEN..].copy_from_slice(right);
+    sha256(&pre)
 }
 
 /// Leaf hash over a key/value pair (shared with proof verification).

@@ -294,8 +294,7 @@ impl CmTree {
         if lo >= hi || hi > count {
             return Err(ClueError::BadRange { lo, hi, count });
         }
-        let expected: Vec<u64> = (lo..hi).collect();
-        if proof.subtree.indices != expected {
+        if !proof.subtree.indices.iter().copied().eq(lo..hi) {
             return Err(ClueError::MalformedProof("proof indices do not match range"));
         }
         Shrubs::verify_batch(&subtree_root, &proof.entries, &proof.subtree)?;

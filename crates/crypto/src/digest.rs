@@ -1,7 +1,7 @@
 //! The 32-byte digest type shared by every ledger structure, plus the
 //! domain-separated Merkle hashing helpers used by all accumulators.
 
-use crate::sha256::sha256_raw;
+use crate::sha256::{digest_padded, Sha256};
 use std::fmt;
 
 /// A 32-byte cryptographic digest (SHA-256 or SHA3-256 output).
@@ -86,29 +86,35 @@ const NODE_TAG: u8 = 0x01;
 /// Domain separation prevents an internal node from being replayed as a
 /// leaf (a classic second-preimage weakness in untagged Merkle trees).
 pub fn hash_leaf(data: &[u8]) -> Digest {
-    let mut buf = Vec::with_capacity(1 + data.len());
-    buf.push(LEAF_TAG);
-    buf.extend_from_slice(data);
-    Digest(sha256_raw(&buf))
+    let mut h = Sha256::new();
+    h.update(&[LEAF_TAG]);
+    h.update(data);
+    Digest(h.finalize())
 }
 
 /// Hash two child digests into a parent digest with the node domain tag.
+///
+/// The preimage is always 65 bytes, so the padded message is exactly two
+/// blocks of known shape: laid out once on the stack and compressed in
+/// one call, with no hasher state, buffering or length bookkeeping.
 pub fn hash_pair(left: &Digest, right: &Digest) -> Digest {
-    let mut buf = [0u8; 65];
-    buf[0] = NODE_TAG;
-    buf[1..33].copy_from_slice(&left.0);
-    buf[33..].copy_from_slice(&right.0);
-    Digest(sha256_raw(&buf))
+    let mut padded = [0u8; 128];
+    padded[0] = NODE_TAG;
+    padded[1..33].copy_from_slice(&left.0);
+    padded[33..65].copy_from_slice(&right.0);
+    padded[65] = 0x80;
+    padded[126..].copy_from_slice(&(65u16 * 8).to_be_bytes());
+    Digest(digest_padded(&padded))
 }
 
 /// Hash an ordered list of digests (used to "bag" accumulator frontiers).
 pub fn hash_many(items: &[Digest]) -> Digest {
-    let mut buf = Vec::with_capacity(1 + items.len() * 32);
-    buf.push(NODE_TAG);
+    let mut h = Sha256::new();
+    h.update(&[NODE_TAG]);
     for d in items {
-        buf.extend_from_slice(&d.0);
+        h.update(&d.0);
     }
-    Digest(sha256_raw(&buf))
+    Digest(h.finalize())
 }
 
 #[cfg(test)]

@@ -58,112 +58,265 @@ impl Sha256 {
             self.buf_len += take;
             data = &data[take..];
             if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
+                compress_blocks(&mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            self.compress(block.try_into().unwrap());
-            data = rest;
-        }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
+        let (blocks, tail) = data.split_at(data.len() & !63);
+        compress_blocks(&mut self.state, blocks);
+        if !tail.is_empty() {
+            self.buf[..tail.len()].copy_from_slice(tail);
+            self.buf_len = tail.len();
         }
     }
 
     /// Finish and produce the 32-byte digest.
-    pub fn finalize(mut self) -> [u8; 32] {
-        crate::counters::SHA256_FINALIZES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        self.update_padding_byte();
-        while self.buf_len != 56 {
-            self.update_zero_byte();
-        }
-        let len_bytes = bit_len.to_be_bytes();
-        self.buf[56..64].copy_from_slice(&len_bytes);
-        let block = self.buf;
-        self.compress(&block);
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
+    pub fn finalize(self) -> [u8; 32] {
+        finish(compress_blocks, self.state, &self.buf[..self.buf_len], self.total_len)
+    }
+}
+
+/// Pad the final partial block (`tail`, under 64 bytes) of a
+/// `total_len`-byte message, compress it and serialize the state. The
+/// one place a digest is produced, so the one place it is counted.
+#[inline]
+fn finish(
+    compress: impl Fn(&mut [u32; 8], &[u8]),
+    mut state: [u32; 8],
+    tail: &[u8],
+    total_len: u64,
+) -> [u8; 32] {
+    crate::counters::count_sha256_finalize();
+    // Padding: 0x80, zeros, 8-byte big-endian bit length — one block if
+    // the tail leaves room for all nine bytes, else two.
+    let mut last = [0u8; 128];
+    last[..tail.len()].copy_from_slice(tail);
+    last[tail.len()] = 0x80;
+    let end = if tail.len() < 56 { 64 } else { 128 };
+    last[end - 8..end].copy_from_slice(&total_len.wrapping_mul(8).to_be_bytes());
+    compress(&mut state, &last[..end]);
+    state_bytes(&state)
+}
+
+fn state_bytes(state: &[u32; 8]) -> [u8; 32] {
+    let mut out = [0u8; 32];
+    for (i, word) in state.iter().enumerate() {
+        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+#[inline]
+fn digest_with(compress: impl Fn(&mut [u32; 8], &[u8]), data: &[u8]) -> [u8; 32] {
+    let mut state = H0;
+    let (blocks, tail) = data.split_at(data.len() & !63);
+    compress(&mut state, blocks);
+    finish(compress, state, tail, data.len() as u64)
+}
+
+/// Digest of a message the caller has already laid out with its
+/// FIPS 180-4 padding (`padded.len()` a multiple of 64). Fixed-shape
+/// callers such as [`crate::hash_pair`] use it to skip buffering and
+/// length bookkeeping entirely.
+#[inline]
+pub(crate) fn digest_padded(padded: &[u8]) -> [u8; 32] {
+    crate::counters::count_sha256_finalize();
+    let mut state = H0;
+    compress_blocks(&mut state, padded);
+    state_bytes(&state)
+}
+
+/// Which compress kernel this process runs: `"sha-ni"` when the CPU has
+/// the x86 SHA extensions, else `"portable"`. Decided by CPU detection
+/// alone; there is no switch.
+pub fn implementation() -> &'static str {
+    if accelerated() {
+        "sha-ni"
+    } else {
+        "portable"
+    }
+}
+
+#[inline]
+fn accelerated() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse4.1")
+            && is_x86_feature_detected!("ssse3")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Compress whole 64-byte blocks into `state` with the best kernel the
+/// CPU offers.
+#[inline]
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    if blocks.is_empty() {
+        return; // short updates and short one-shots land here
+    }
+    #[cfg(target_arch = "x86_64")]
+    if accelerated() {
+        // SAFETY: `accelerated()` just confirmed `sha`, `sse4.1` and
+        // `ssse3`; `sse2`, the fourth feature `shani::compress_blocks`
+        // is compiled with, is part of the x86-64 baseline.
+        unsafe { shani::compress_blocks(state, blocks) };
+        return;
+    }
+    compress_blocks_portable(state, blocks);
+}
+
+fn compress_blocks_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0);
+    for block in blocks.chunks_exact(64) {
+        compress(state, block.try_into().expect("chunks_exact(64)"));
+    }
+}
+
+/// The portable compress function, straight from FIPS 180-4 §6.2.2. It
+/// is the only path on CPUs without SHA extensions and the oracle the
+/// accelerated kernel is tested against.
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for i in 0..16 {
+        w[i] = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().unwrap());
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ ((!e) & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
+    state[4] = state[4].wrapping_add(e);
+    state[5] = state[5].wrapping_add(f);
+    state[6] = state[6].wrapping_add(g);
+    state[7] = state[7].wrapping_add(h);
+}
+
+/// The x86 SHA-extensions kernel: four rounds per `sha256rnds2` pair,
+/// message schedule by `sha256msg1`/`sha256msg2`, any number of blocks
+/// per call with the state held in registers across them.
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use super::K;
+    use core::arch::x86_64::*;
+
+    /// Sixteen message bytes from anywhere in memory.
+    #[inline]
+    fn load(bytes: &[u8; 16]) -> __m128i {
+        // SAFETY: the reference guarantees 16 readable bytes, and
+        // `_mm_loadu_si128` — the only load this kernel uses — has no
+        // alignment requirement (`prop_crypto` feeds every offset 0..16).
+        unsafe { _mm_loadu_si128(bytes.as_ptr().cast()) }
     }
 
-    fn update_padding_byte(&mut self) {
-        self.buf[self.buf_len] = 0x80;
-        self.buf_len += 1;
-        if self.buf_len == 64 {
-            let block = self.buf;
-            self.compress(&block);
-            self.buf_len = 0;
-        }
-    }
+    /// Compress `blocks` into `state`. Only whole 64-byte blocks are
+    /// read (`chunks_exact`); callers pass nothing else.
+    ///
+    /// # Safety
+    /// The CPU must support `sha`, `sse2`, `ssse3` and `sse4.1`. The one
+    /// caller, `compress_blocks`, checks with `is_x86_feature_detected!`
+    /// first.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) unsafe fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+        // The round instruction wants the state as (ABEF, CDGH), A in
+        // the top lane.
+        let [a, b, c, d, e, f, g, h] = state.map(|word| word as i32);
+        let mut abef = _mm_set_epi32(a, b, e, f);
+        let mut cdgh = _mm_set_epi32(c, d, g, h);
+        // Big-endian message words from little-endian lanes.
+        let flip = _mm_set_epi64x(0x0c0d0e0f08090a0b, 0x0405060700010203);
+        let mut m = [_mm_setzero_si128(); 4];
 
-    fn update_zero_byte(&mut self) {
-        self.buf[self.buf_len] = 0;
-        self.buf_len += 1;
-        if self.buf_len == 64 {
-            let block = self.buf;
-            self.compress(&block);
-            self.buf_len = 0;
+        for block in blocks.chunks_exact(64) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            // Rounds 4i..4i+4. `m[i % 4]` holds W[4i..4i+4]; the schedule
+            // for the next group is finished (`msg2`) between the two
+            // round instructions and the one after started (`msg1`)
+            // behind them, as in Intel's reference flow. Every index and
+            // condition is a literal, so this unrolls to straight-line
+            // code with `m` in registers.
+            macro_rules! rounds4 {
+                ($($i:literal)*) => {$(
+                    if $i < 4 {
+                        let word = block[16 * $i..16 * $i + 16].try_into().expect("16 bytes");
+                        m[$i % 4] = _mm_shuffle_epi8(load(word), flip);
+                    }
+                    let [k0, k1, k2, k3] = [0, 1, 2, 3].map(|j| K[4 * $i + j] as i32);
+                    let wk = _mm_add_epi32(m[$i % 4], _mm_set_epi32(k3, k2, k1, k0));
+                    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                    if $i >= 3 && $i < 15 {
+                        let carry = _mm_alignr_epi8::<4>(m[$i % 4], m[($i + 3) % 4]);
+                        m[($i + 1) % 4] = _mm_sha256msg2_epu32(
+                            _mm_add_epi32(m[($i + 1) % 4], carry),
+                            m[$i % 4],
+                        );
+                    }
+                    abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0E>(wk));
+                    if $i >= 1 && $i < 13 {
+                        m[($i + 3) % 4] = _mm_sha256msg1_epu32(m[($i + 3) % 4], m[$i % 4]);
+                    }
+                )*};
+            }
+            rounds4!(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15);
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
         }
-    }
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().unwrap());
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        *state = [
+            _mm_extract_epi32::<3>(abef),
+            _mm_extract_epi32::<2>(abef),
+            _mm_extract_epi32::<3>(cdgh),
+            _mm_extract_epi32::<2>(cdgh),
+            _mm_extract_epi32::<1>(abef),
+            _mm_extract_epi32::<0>(abef),
+            _mm_extract_epi32::<1>(cdgh),
+            _mm_extract_epi32::<0>(cdgh),
+        ]
+        .map(|word| word as u32);
     }
 }
 
 /// One-shot SHA-256 returning raw bytes.
 pub fn sha256_raw(data: &[u8]) -> [u8; 32] {
-    let mut h = Sha256::new();
-    h.update(data);
-    h.finalize()
+    digest_with(compress_blocks, data)
+}
+
+/// One-shot SHA-256 through the portable kernel whatever the CPU —
+/// the oracle side of the differential tests, not an option.
+#[doc(hidden)]
+pub fn sha256_portable(data: &[u8]) -> [u8; 32] {
+    digest_with(compress_blocks_portable, data)
 }
 
 /// One-shot SHA-256 returning a [`Digest`].

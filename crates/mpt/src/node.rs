@@ -7,7 +7,7 @@
 //! cheap (§IV-B3).
 
 use ledgerdb_crypto::digest::Digest;
-use ledgerdb_crypto::sha256::Sha256;
+use ledgerdb_crypto::sha256::{sha256, Sha256};
 use std::sync::OnceLock;
 
 /// A trie node: a kind plus its memoized digest.
@@ -51,41 +51,12 @@ impl Node {
     /// components; children contribute their digests, absent children a
     /// zero digest.
     pub fn hash(&self) -> Digest {
-        *self.hash.get_or_init(|| {
-            let mut h = Sha256::new();
-            match &self.kind {
-                NodeKind::Branch { children, value } => {
-                    h.update(&[0x00]);
-                    for child in children.iter() {
-                        match child {
-                            Some(c) => h.update(&c.hash().0),
-                            None => h.update(&Digest::ZERO.0),
-                        }
-                    }
-                    match value {
-                        Some(v) => {
-                            h.update(&[1]);
-                            h.update(&(v.len() as u64).to_be_bytes());
-                            h.update(v);
-                        }
-                        None => h.update(&[0]),
-                    }
-                }
-                NodeKind::Extension { prefix, child } => {
-                    h.update(&[0x01]);
-                    h.update(&(prefix.len() as u64).to_be_bytes());
-                    h.update(prefix);
-                    h.update(&child.hash().0);
-                }
-                NodeKind::Leaf { suffix, value } => {
-                    h.update(&[0x02]);
-                    h.update(&(suffix.len() as u64).to_be_bytes());
-                    h.update(suffix);
-                    h.update(&(value.len() as u64).to_be_bytes());
-                    h.update(value);
-                }
+        *self.hash.get_or_init(|| match &self.kind {
+            NodeKind::Branch { children, value } => {
+                branch_digest(|i| children[i].as_ref().map(|c| c.hash()), value.as_deref())
             }
-            Digest(h.finalize())
+            NodeKind::Extension { prefix, child } => extension_digest(prefix, &child.hash()),
+            NodeKind::Leaf { suffix, value } => leaf_digest(suffix, value),
         })
     }
 
@@ -131,41 +102,57 @@ pub enum ProofNode {
 impl ProofNode {
     /// Digest of the proof node — must reproduce the original node's hash.
     pub fn hash(&self) -> Digest {
-        let mut h = Sha256::new();
         match self {
             ProofNode::Branch { child_hashes, value } => {
-                h.update(&[0x00]);
-                for child in child_hashes.iter() {
-                    match child {
-                        Some(d) => h.update(&d.0),
-                        None => h.update(&Digest::ZERO.0),
-                    }
-                }
-                match value {
-                    Some(v) => {
-                        h.update(&[1]);
-                        h.update(&(v.len() as u64).to_be_bytes());
-                        h.update(v);
-                    }
-                    None => h.update(&[0]),
-                }
+                branch_digest(|i| child_hashes[i], value.as_deref())
             }
-            ProofNode::Extension { prefix, child_hash } => {
-                h.update(&[0x01]);
-                h.update(&(prefix.len() as u64).to_be_bytes());
-                h.update(prefix);
-                h.update(&child_hash.0);
-            }
-            ProofNode::Leaf { suffix, value } => {
-                h.update(&[0x02]);
-                h.update(&(suffix.len() as u64).to_be_bytes());
-                h.update(suffix);
-                h.update(&(value.len() as u64).to_be_bytes());
-                h.update(value);
-            }
+            ProofNode::Extension { prefix, child_hash } => extension_digest(prefix, child_hash),
+            ProofNode::Leaf { suffix, value } => leaf_digest(suffix, value),
         }
-        Digest(h.finalize())
     }
+}
+
+/// Branch digest: tag `0x00`, sixteen child digests (zero when absent),
+/// then `0` or `1 ‖ len ‖ value`. The 514-byte prefix has a fixed shape,
+/// so it is laid out on the stack and a valueless branch — every branch
+/// of a CM-Tree1 or state path — is one one-shot digest.
+fn branch_digest(child: impl Fn(usize) -> Option<Digest>, value: Option<&[u8]>) -> Digest {
+    let mut pre = [0u8; 1 + 16 * 32 + 1];
+    for (i, slot) in pre[1..513].chunks_exact_mut(32).enumerate() {
+        if let Some(d) = child(i) {
+            slot.copy_from_slice(&d.0);
+        }
+    }
+    let Some(v) = value else {
+        return sha256(&pre);
+    };
+    pre[513] = 1;
+    let mut h = Sha256::new();
+    h.update(&pre);
+    h.update(&(v.len() as u64).to_be_bytes());
+    h.update(v);
+    Digest(h.finalize())
+}
+
+/// Extension digest: tag `0x01`, length-prefixed nibble run, child digest.
+fn extension_digest(prefix: &[u8], child: &Digest) -> Digest {
+    let mut h = Sha256::new();
+    h.update(&[0x01]);
+    h.update(&(prefix.len() as u64).to_be_bytes());
+    h.update(prefix);
+    h.update(&child.0);
+    Digest(h.finalize())
+}
+
+/// Leaf digest: tag `0x02`, length-prefixed nibble run and value.
+fn leaf_digest(suffix: &[u8], value: &[u8]) -> Digest {
+    let mut h = Sha256::new();
+    h.update(&[0x02]);
+    h.update(&(suffix.len() as u64).to_be_bytes());
+    h.update(suffix);
+    h.update(&(value.len() as u64).to_be_bytes());
+    h.update(value);
+    Digest(h.finalize())
 }
 
 #[cfg(test)]

@@ -283,6 +283,7 @@ fn main() {
             .expect("spawn trace-dump thread");
     }
 
+    eprintln!("ledgerd: sha256 kernel: {}", ledgerdb_crypto::sha256::implementation());
     if args.shards == 0 {
         eprintln!("ledgerd: --shards must be at least 1");
         exit(2);

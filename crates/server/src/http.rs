@@ -212,7 +212,8 @@ fn status_json(service: &RequestService) -> String {
     );
     let _ = write!(
         out,
-        ",\"checkpoints_enabled\":{},\"draining\":{}}}",
+        ",\"sha256_impl\":\"{}\",\"checkpoints_enabled\":{},\"draining\":{}}}",
+        ledgerdb_crypto::sha256::implementation(),
         shared.checkpoints_enabled(),
         service.draining(),
     );
@@ -497,6 +498,10 @@ mod tests {
         assert!(status.contains("\"journal_count\":6"), "{status}");
         assert!(status.contains("\"checkpoint\":null"), "{status}");
         assert!(status.contains("\"draining\":false"), "{status}");
+        let kernel = ledgerdb_crypto::sha256::implementation();
+        assert!(status.contains(&format!("\"sha256_impl\":\"{kernel}\"")), "{status}");
+        let metrics = text(handle(&service, "GET", "/metrics", true));
+        assert!(metrics.contains(&format!("ledger_sha256_impl{{impl=\"{kernel}\"}} 1")), "{metrics}");
         assert!(status.contains("Content-Type: application/json"), "{status}");
 
         let metrics = text(handle(&service, "GET", "/metrics", true));

@@ -86,6 +86,16 @@ impl RequestService {
             }));
         }
         let metrics = ServerMetrics::bind(&config.registry);
+        // Which SHA-256 kernel this process dispatches to, as an info
+        // series: "this box is slower at proofs" is answerable from
+        // `/metrics` / `Stats` alone.
+        config
+            .registry
+            .gauge(&format!(
+                "ledger_sha256_impl{{impl=\"{}\"}}",
+                ledgerdb_crypto::sha256::implementation()
+            ))
+            .set(1);
         RequestService {
             shared: sharded.shard(0).clone(),
             sharded,

@@ -224,7 +224,9 @@ curl -fsS "http://$EV_HTTP/healthz" | grep -q '^ok$' \
   || { echo "/healthz did not answer ok"; exit 1; }
 curl -fsS "http://$EV_HTTP/status" | grep -q '"journal_root"' \
   || { echo "/status is not the expected JSON"; exit 1; }
-curl -fsS "http://$EV_HTTP/metrics" | grep -q '^# TYPE server_loop_iterations_total counter' \
+# (No `grep -q` here: the exposition is larger than one pipe write, and
+# a grep that exits at its first match makes curl fail under pipefail.)
+curl -fsS "http://$EV_HTTP/metrics" | grep '^# TYPE server_loop_iterations_total counter' > /dev/null \
   || { echo "/metrics is not a valid exposition during the append storm"; exit 1; }
 curl -fsS "http://$EV_HTTP/trace/slow" | grep -q '"slow"' \
   || { echo "/trace/slow is not the expected JSON"; exit 1; }
@@ -290,5 +292,22 @@ if [[ "$CORES" -gt 1 ]]; then
 else
   echo "note: single core — structural trace gates only (overhead not gated)"
 fi
+
+echo "== hash-kernel (SHA-NI vs portable differential + lineage smoke) =="
+# Accelerated vs portable SHA-256 over every length, split point and
+# source alignment, plus the NIST vectors on both kernels; on a CPU
+# without SHA extensions the accelerated cases print "skipped".
+KERNEL_OUT="$(cargo test --release -q --test prop_crypto -- --nocapture 2>&1)" \
+  || { printf '%s\n' "$KERNEL_OUT"; exit 1; }
+printf '%s\n' "$KERNEL_OUT" | grep -oE 'sha256 kernel: [a-z-]+|[^.]*skipped.*' \
+  || { echo "prop_crypto did not name the sha256 kernel"; exit 1; }
+# The counter contract the benchmark's per-append/per-prove counts and
+# prof_append's in-lock assertions rest on.
+cargo test --release -q --test sha256_counter
+# Structural gate only (no wall-clock assertion here): one second of the
+# lineage workload against a real ledgerd, every clue proof verified.
+bash benchmark/run.sh --workload lineage --seconds 1 --trace 0 | tail -n1 \
+  | grep -q '"correct": *true' \
+  || { echo "ledgerbench lineage smoke did not report correct:true"; exit 1; }
 
 echo "verify.sh: all green"

@@ -1,6 +1,7 @@
-//! Allocation discipline of the seal path, pinned by a counting global
-//! allocator — which is why this test lives in its own integration
-//! binary (the allocator hook is process-wide).
+//! Allocation discipline of the seal path and of the batch-proof
+//! verifier, pinned by a counting global allocator — which is why these
+//! tests live in their own integration binary (the allocator hook is
+//! process-wide) and take `SERIAL` (so neither counts the other).
 //!
 //! The seal path used to clone the freshly built `Block` (including its
 //! whole `tx_hashes` vector) just to wire-encode it into the WAL seal
@@ -9,15 +10,17 @@
 //! contents plus logarithmic tree maintenance — it must NOT grow
 //! linearly with chain length.
 
+use ledgerdb::accumulator::shrubs::Shrubs;
 use ledgerdb::core::recovery::open_durable;
 use ledgerdb::core::{LedgerConfig, MemberRegistry, TxRequest};
 use ledgerdb::crypto::ca::{CertificateAuthority, Role};
 use ledgerdb::crypto::keys::KeyPair;
+use ledgerdb::crypto::{hash_leaf, Digest};
 use ledgerdb::storage::FsyncPolicy;
 use ledgerdb::timesvc::clock::SimClock;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 struct CountingAlloc;
 
@@ -46,8 +49,12 @@ fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
+/// Held by each test for its whole body: the counter is process-wide.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 #[test]
 fn per_seal_allocations_do_not_scale_with_chain_length() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let ca = CertificateAuthority::from_seed(b"alloc-ca");
     let alice = KeyPair::from_seed(b"alloc-alice");
     let mut registry = MemberRegistry::new(*ca.public_key());
@@ -120,4 +127,32 @@ fn per_seal_allocations_do_not_scale_with_chain_length() {
         late_avg <= early_avg * 4.0 + 64.0,
         "per-seal allocations grew with chain length: early avg {early_avg:.1}, late avg {late_avg:.1}"
     );
+}
+
+/// `Shrubs::verify_batch` is hashing plus two cursors: it builds no map
+/// and copies neither the targets nor the proof cells, so the only heap
+/// use is the frontier — the same handful of allocations whether the
+/// batch proves 64 entries or 2,048.
+#[test]
+fn verify_batch_allocations_do_not_scale_with_batch_size() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // 5,000 leaves: four peaks, so the frontier is a real vector.
+    let leaves: Vec<Digest> = (0..5_000u64).map(|i| hash_leaf(&i.to_be_bytes())).collect();
+    let mut shrubs = Shrubs::new();
+    for leaf in &leaves {
+        shrubs.append(*leaf);
+    }
+    let root = shrubs.root();
+    let cost = |m: u64| {
+        let indices: Vec<u64> = (100..100 + m).collect();
+        let entries: Vec<(u64, Digest)> =
+            indices.iter().map(|&i| (i, leaves[i as usize])).collect();
+        let proof = shrubs.prove_batch(&indices).unwrap();
+        let before = allocs();
+        Shrubs::verify_batch(&root, &entries, &proof).unwrap();
+        allocs() - before
+    };
+    let (small, large) = (cost(64), cost(2_048));
+    assert_eq!(small, large, "allocations per verify_batch grew with m");
+    assert!(large <= 2, "verify_batch made {large} allocations; the frontier needs one");
 }

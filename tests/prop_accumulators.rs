@@ -7,9 +7,9 @@
 
 use ledgerdb::accumulator::binary::{merkle_prove, merkle_root, merkle_verify};
 use ledgerdb::accumulator::fam::{FamTree, TrustedAnchor};
-use ledgerdb::accumulator::shrubs::Shrubs;
+use ledgerdb::accumulator::shrubs::{Shrubs, ShrubsBatchProof};
 use ledgerdb::accumulator::tim::TimAccumulator;
-use ledgerdb::accumulator::BimChain;
+use ledgerdb::accumulator::{AccumulatorError, BimChain};
 use ledgerdb::crypto::{hash_leaf, Digest};
 use ledgerdb_bench::cases::run_cases;
 
@@ -86,6 +86,82 @@ fn shrubs_batch_subset() {
         assert!(Shrubs::verify_batch(&root, &entries, &proof).is_ok());
         let individual: usize = indices.iter().map(|&i| s.prove(i).unwrap().len()).sum();
         assert!(proof.len() <= individual);
+    });
+}
+
+/// A batch proof has exactly one valid encoding. Padding `provided`
+/// with junk, duplicating, reordering, misplacing or dropping a cell,
+/// or handing the targets over unsorted or repeated, is a typed
+/// `MalformedProof` — never Ok, never a panic.
+#[test]
+fn shrubs_batch_proof_is_not_malleable() {
+    run_cases("shrubs batch proof is not malleable", 64, |g| {
+        let leaves = digests(&g.bytes(3..=199));
+        let mut s = Shrubs::new();
+        for l in &leaves {
+            s.append(*l);
+        }
+        let root = s.root();
+        let mut indices: Vec<u64> =
+            (0..g.usize_in(1..=9)).map(|_| g.below(leaves.len() as u64)).collect();
+        indices.sort_unstable();
+        indices.dedup();
+        let proof = s.prove_batch(&indices).unwrap();
+        let entries: Vec<(u64, Digest)> =
+            indices.iter().map(|&i| (i, leaves[i as usize])).collect();
+        assert!(Shrubs::verify_batch(&root, &entries, &proof).is_ok());
+        let malformed = |entries: &[(u64, Digest)], proof: &ShrubsBatchProof, row: &str| {
+            let got = Shrubs::verify_batch(&root, entries, proof);
+            assert!(matches!(got, Err(AccumulatorError::MalformedProof(_))), "{row}: {got:?}");
+        };
+        let cells = proof.provided.len();
+
+        // Padded: a junk cell (fresh position, or a copy of a real one)
+        // at any slot, including the very end.
+        let mut padded = proof.clone();
+        let junk = (s.node_count() + g.below(8), hash_leaf(b"junk"));
+        padded.provided.insert(g.usize_in(0..=cells), junk);
+        malformed(&entries, &padded, "padded");
+        if cells > 0 {
+            let k = g.below(cells as u64) as usize;
+            let mut duplicated = proof.clone();
+            duplicated.provided.insert(g.usize_in(0..=cells), proof.provided[k]);
+            malformed(&entries, &duplicated, "duplicated");
+
+            let mut truncated = proof.clone();
+            truncated.provided.remove(k);
+            malformed(&entries, &truncated, "truncated");
+
+            let mut misplaced = proof.clone();
+            misplaced.provided[k].0 ^= 1;
+            malformed(&entries, &misplaced, "wrong position");
+        }
+        if cells > 1 {
+            let a = g.below(cells as u64) as usize;
+            let b = (a + 1 + g.below(cells as u64 - 1) as usize) % cells;
+            let mut reordered = proof.clone();
+            reordered.provided.swap(a, b);
+            malformed(&entries, &reordered, "reordered");
+        }
+
+        // The same canonical-order rule on the target side.
+        if indices.len() > 1 {
+            let mut swapped = (entries.clone(), proof.clone());
+            swapped.0.swap(0, 1);
+            swapped.1.indices.swap(0, 1);
+            malformed(&swapped.0, &swapped.1, "unsorted targets");
+        }
+        let mut repeated = (entries.clone(), proof.clone());
+        repeated.0.push(entries[0]);
+        repeated.1.indices.push(indices[0]);
+        malformed(&repeated.0, &repeated.1, "repeated target");
+        let mut beyond = (entries.clone(), proof.clone());
+        beyond.0.push((proof.leaf_count, leaves[0]));
+        beyond.1.indices.push(proof.leaf_count);
+        malformed(&beyond.0, &beyond.1, "target beyond leaf count");
+        let mut huge = proof.clone();
+        huge.leaf_count = u64::MAX;
+        malformed(&entries, &huge, "absurd leaf count");
     });
 }
 

@@ -7,8 +7,10 @@
 
 use ledgerdb::accumulator::tim::TimAccumulator;
 use ledgerdb::clue::ccmpt::CcMpt;
-use ledgerdb::clue::cm_tree::CmTree;
+use ledgerdb::accumulator::AccumulatorError;
+use ledgerdb::clue::cm_tree::{ClueProof, CmTree};
 use ledgerdb::clue::csl::ClueSkipList;
+use ledgerdb::clue::ClueError;
 use ledgerdb::crypto::{hash_leaf, Digest};
 use ledgerdb_bench::cases::{run_cases, Gen};
 
@@ -96,6 +98,56 @@ fn cm_tree_tamper_resistance() {
         let i = g.below(tampered.entries.len() as u64) as usize;
         tampered.entries[i].1 = hash_leaf(b"tampered");
         assert!(CmTree::verify_client(&cm_root, &tampered).is_err());
+    });
+}
+
+/// A server cannot restyle a clue proof: CM-Tree2 cells padded with
+/// junk, duplicated, reordered or dropped are a typed malformed-proof
+/// error at the client, not Ok.
+#[test]
+fn cm_tree_proof_cells_are_canonical() {
+    run_cases("cm tree proof cells are canonical", 48, |g| {
+        let workload = assignments(g, 8..=119, 3);
+        let (cm, _, _, _, _, clues) = build(&workload);
+        let cm_root = cm.root();
+        let clue = clues.iter().max_by_key(|c| cm.entry_count(c)).unwrap().clone();
+        let count = cm.entry_count(&clue);
+        // A proper sub-range, so the proof carries complement cells.
+        let lo = g.below(count);
+        let hi = lo + 1 + g.below(count - lo);
+        let jsns = cm.jsns(&clue).to_vec();
+        let digest_of = |v: u64| {
+            jsns.get(v as usize)
+                .map(|&j| hash_leaf(&[workload[j as usize], j as u8, (j >> 8) as u8]))
+        };
+        let proof = cm.prove_range(&clue, lo, hi, digest_of).unwrap();
+        assert!(CmTree::verify_client(&cm_root, &proof).is_ok());
+        let malformed = |proof: &ClueProof, row: &str| {
+            let got = CmTree::verify_client(&cm_root, proof);
+            assert!(
+                matches!(got, Err(ClueError::Accumulator(AccumulatorError::MalformedProof(_)))),
+                "{row}: {got:?}"
+            );
+        };
+        let cells = proof.subtree.provided.len();
+
+        let mut padded = proof.clone();
+        padded.subtree.provided.insert(g.usize_in(0..=cells), (u64::MAX, hash_leaf(b"junk")));
+        malformed(&padded, "padded");
+        if cells > 0 {
+            let k = g.below(cells as u64) as usize;
+            let mut duplicated = proof.clone();
+            duplicated.subtree.provided.insert(g.usize_in(0..=cells), proof.subtree.provided[k]);
+            malformed(&duplicated, "duplicated");
+            let mut truncated = proof.clone();
+            truncated.subtree.provided.remove(k);
+            malformed(&truncated, "truncated");
+        }
+        if cells > 1 {
+            let mut reordered = proof.clone();
+            reordered.subtree.provided.swap(0, cells - 1);
+            malformed(&reordered, "reordered");
+        }
     });
 }
 
