@@ -26,11 +26,9 @@
 //! sweep: one writer appends (per-append fsync, so it holds the ledger
 //! write lock across the disk barrier) while `--readers` clients pound
 //! GetProof / GetTx / Verify over TCP against the sealed prefix.
-//! Without `--addr` it A/B-interleaves in-process servers with the
-//! snapshot read path on and off (`ServerConfig::snapshot_reads`) and
-//! reports the lock-free speedup; with `--addr` it drives one cell
-//! against an already-running `ledgerd` (whose toggle state decides the
-//! path) — the form `scripts/verify.sh` uses to assert snapshot hits.
+//! Without `--addr` it runs the cell against an in-process server;
+//! with `--addr` it drives an already-running `ledgerd` — the form
+//! `scripts/verify.sh` uses to assert snapshot hits.
 //!
 //! Modes:
 //! * `batch=off` — streams at `fsync=always`: every append pays its own
@@ -40,8 +38,8 @@
 //!   still strictly after durability.
 //! * `admission=verify` — the server checks membership + π_c on every
 //!   append (direct-to-client deployment);
-//! * `admission=proxy`  — π_c is the proxy tier's job (Fig 1, and the
-//!   kernel's `append_preverified` contract): the server enforces
+//! * `admission=proxy`  — π_c is the proxy tier's job (Fig 1,
+//!   `Admission::ProxyTrusted`): the server enforces
 //!   membership only, so the measurement isolates the service +
 //!   durability layers from the fixed per-request ECDSA cost.
 //!
@@ -401,7 +399,6 @@ fn run_config(args: &Args, clients: usize, batch: bool, admission: Admission) ->
 /// One read-mix measurement cell: reads/sec over the mixed GetProof /
 /// GetTx / Verify workload with one concurrent writer.
 struct ReadMixRow {
-    snapshot_reads: bool,
     reads: u64,
     elapsed: Duration,
     writer_appends: f64,
@@ -416,11 +413,10 @@ impl ReadMixRow {
 
     fn print(&self, readers: usize) {
         println!(
-            "{{\"bench\":\"ledgerd_read_mix\",\"snapshot_reads\":{},\
+            "{{\"bench\":\"ledgerd_read_mix\",\
              \"readers\":{},\"reads\":{},\"elapsed_s\":{:.3},\
              \"reads_per_sec\":{:.1},\"writer_appends\":{},\
              \"snapshot_hits\":{},\"snapshot_fallbacks\":{}}}",
-            self.snapshot_reads,
             readers,
             self.reads,
             self.elapsed.as_secs_f64(),
@@ -527,12 +523,12 @@ fn drive_read_mix(
     (total_reads.load(Ordering::Relaxed), started.elapsed())
 }
 
-/// In-process read-mix cell: durable ledger + server with the snapshot
-/// path toggled, pre-seeded sealed prefix, mixed readers vs one writer.
-fn read_mix_cell(args: &Args, snapshot_reads: bool) -> ReadMixRow {
+/// In-process read-mix cell: durable ledger + server, pre-seeded sealed
+/// prefix, mixed readers vs one writer.
+fn read_mix_cell(args: &Args) -> ReadMixRow {
     const SEALED: u64 = 192;
-    let tag = format!("readmix-{}", if snapshot_reads { "snap" } else { "lock" });
-    let dir = temp_dir(&tag);
+    let tag = "readmix";
+    let dir = temp_dir(tag);
     let (registry, alice) = registry();
     let telemetry = Arc::new(Registry::new());
     let config = LedgerConfig { block_size: 64, fam_delta: 15, name: format!("loadgen-{tag}"), state_backend: Default::default() };
@@ -574,12 +570,10 @@ fn read_mix_cell(args: &Args, snapshot_reads: bool) -> ReadMixRow {
             max_connections: args.readers + 6,
             batch: None,
             // Proxy admission keeps the per-append ECDSA re-check (a
-            // CPU cost paid outside the lock, identical in both arms)
-            // out of the writer's cycle, so the cycle is dominated by
-            // the fsyncs it holds the write lock across — the
-            // contention under measurement.
+            // CPU cost paid outside the lock) out of the writer's
+            // cycle, so the cycle is dominated by the fsyncs it holds
+            // the write lock across — the contention under measurement.
             admission: Admission::ProxyTrusted,
-            snapshot_reads,
             registry: telemetry.clone(),
             ..ServerConfig::default()
         },
@@ -591,7 +585,6 @@ fn read_mix_cell(args: &Args, snapshot_reads: bool) -> ReadMixRow {
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
     ReadMixRow {
-        snapshot_reads,
         reads,
         elapsed,
         writer_appends: parse_value(&text, "ledger_appends_total").unwrap_or(0.0) - seeded_appends,
@@ -600,9 +593,8 @@ fn read_mix_cell(args: &Args, snapshot_reads: bool) -> ReadMixRow {
     }
 }
 
-/// External read-mix cell: drive a running `ledgerd` at `--addr`. The
-/// server's own configuration decides the read path; the scraped
-/// snapshot counters say which one actually served.
+/// External read-mix cell: drive a running `ledgerd` at `--addr`; the
+/// scraped snapshot counters say how many reads the snapshot served.
 fn read_mix_external(args: &Args, addr_str: &str) {
     use std::net::ToSocketAddrs;
     let addr = addr_str
@@ -617,7 +609,6 @@ fn read_mix_external(args: &Args, addr_str: &str) {
     let mut probe = RemoteLedger::connect(addr).expect("connect");
     let sealed = probe.info().journal_count.max(1);
     let stats_before = probe.stats().expect("stats");
-    let hits_before = parse_value(&stats_before, "ledger_snapshot_hit_total").unwrap_or(0.0);
     let appends_before = parse_value(&stats_before, "ledger_appends_total").unwrap_or(0.0);
     drop(probe);
 
@@ -627,8 +618,6 @@ fn read_mix_external(args: &Args, addr_str: &str) {
     let mut probe = RemoteLedger::connect(addr).expect("reconnect");
     let text = probe.stats().expect("stats");
     let row = ReadMixRow {
-        snapshot_reads: parse_value(&text, "ledger_snapshot_hit_total").unwrap_or(0.0)
-            > hits_before,
         reads,
         elapsed,
         writer_appends: parse_value(&text, "ledger_appends_total").unwrap_or(0.0)
@@ -645,31 +634,10 @@ fn run_read_mix(args: &Args) {
         return;
     }
     eprintln!(
-        "loadgen: read-mix A/B — {} readers x {:.1}s per cell, 1 writer, \
-         snapshot path interleaved on/off",
+        "loadgen: read-mix — {} readers x {:.1}s, 1 writer holding per-append fsyncs",
         args.readers, args.read_secs
     );
-    // Interleave A/B so machine drift hits both arms equally.
-    let mut rows = Vec::new();
-    for _rep in 0..2 {
-        for snapshot_reads in [true, false] {
-            let row = read_mix_cell(args, snapshot_reads);
-            row.print(args.readers);
-            rows.push(row);
-        }
-    }
-    let mean = |on: bool| {
-        let sel: Vec<f64> =
-            rows.iter().filter(|r| r.snapshot_reads == on).map(|r| r.reads_per_sec()).collect();
-        sel.iter().sum::<f64>() / sel.len() as f64
-    };
-    eprintln!(
-        "loadgen: read-mix snapshot speedup: {:.1}x ({:.0} vs {:.0} reads/s, \
-         1 writer holding per-append fsyncs)",
-        mean(true) / mean(false),
-        mean(true),
-        mean(false)
-    );
+    read_mix_cell(args).print(args.readers);
 }
 
 /// One append-pipeline A/B cell: a single client streaming
@@ -1139,9 +1107,8 @@ fn state_cell(args: &Args, backend: StateBackend) -> StateRow {
     let t = Instant::now();
     for i in 0..args.appends {
         let clue = format!("acct-{}", rng.next_u64() % 512);
-        shared
-            .append_preverified(TxRequest::signed(&alice, rng.payload(args.payload), vec![clue], i))
-            .expect("append");
+        let request = TxRequest::signed(&alice, rng.payload(args.payload), vec![clue], i);
+        shared.with_write(|l| l.append_preverified(request)).expect("append");
     }
     shared.seal_block();
     let append_elapsed = t.elapsed();

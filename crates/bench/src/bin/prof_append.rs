@@ -14,15 +14,15 @@
 //!   record (pool-parallel subtree hashing with `--workers > 1`).
 //!
 //! The crypto work counters ([`ledgerdb_crypto::counters`]) are sampled
-//! around every stage, and two properties of the pipelined path are
+//! around every stage, and two properties of the locked window are
 //! *asserted*, not just reported:
 //!
 //! 1. zero ECDSA verifications happen inside the write lock;
-//! 2. the locked window performs no payload/request hashing — its
-//!    sha256 finalize count undercuts an unpipelined `append_batch`
-//!    baseline (same workload) by at least 2 per request (payload
-//!    digest + request hash), since only the jsn-dependent journal
-//!    `tx_hash` may remain in-lock.
+//! 2. it performs at most [`MAX_IN_LOCK_SHA256_PER_REQUEST`] sha256
+//!    finalizes per request: the payload stream's record digest, the
+//!    jsn-dependent journal `tx_hash`, and the fam / CM-Tree node
+//!    hashes — no payload-digest or request-hash work, which
+//!    [`PreparedTx::compute`] did off-lock.
 
 use ledgerdb_bench::BenchLedger;
 use ledgerdb_core::recovery::open_durable_with;
@@ -36,6 +36,12 @@ use ledgerdb_telemetry::{parse_value, Registry};
 use ledgerdb_timesvc::clock::SimClock;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Ceiling on sha256 finalizes inside the write lock, per request. The
+/// locked window measured 6.4 per request at `--n 512` and 6.8 at the
+/// default `--n 2048` (64 clues, 256 B payloads) when the bound was
+/// set; in-lock payload or request hashing would add 2 per request.
+const MAX_IN_LOCK_SHA256_PER_REQUEST: u64 = 7;
 
 /// (result, seconds, sha256 finalizes, ecdsa verifies) around a closure.
 fn staged<T>(f: impl FnOnce() -> T) -> (T, f64, u64, u64) {
@@ -72,8 +78,8 @@ struct Profile {
     seal_state_s: f64,
 }
 
-/// One full pipelined run over a fresh durable ledger.
-fn run_pipelined(
+/// One full staged run over a fresh durable ledger.
+fn run_staged(
     requests: &[TxRequest],
     pool: Option<&Arc<Pool>>,
     dir: &std::path::Path,
@@ -146,32 +152,6 @@ fn run_pipelined(
     }
 }
 
-/// Unpipelined baseline: the same workload through `append_batch`, so
-/// verification *and* digests run inside the write lock.
-fn run_baseline(requests: &[TxRequest], dir: &std::path::Path) -> (f64, u64, u64) {
-    let registry = Arc::new(Registry::new());
-    let seed = BenchLedger::new(4, 4);
-    let config =
-        LedgerConfig { block_size: u64::MAX, fam_delta: 15, name: "prof-append-base".into(), state_backend: Default::default() };
-    let (ledger, _) = open_durable_with(
-        config,
-        seed.ledger.registry().clone(),
-        dir,
-        FsyncPolicy::Never,
-        Arc::new(SimClock::new()),
-        &registry,
-    )
-    .expect("open baseline ledger");
-    let shared = SharedLedger::new(ledger);
-    let (results, secs, sha, ecdsa) =
-        staged(|| shared.with_write(|l| l.append_batch(requests.to_vec())));
-    results.expect("baseline commit").into_iter().for_each(|r| {
-        r.expect("every request accepted");
-    });
-    shared.seal_block();
-    (secs, sha, ecdsa)
-}
-
 fn main() {
     let mut n: u64 = 2048;
     let mut payload: usize = 256;
@@ -206,19 +186,17 @@ fn main() {
     let scratch = std::env::temp_dir().join(format!("prof-append-{}", std::process::id()));
     std::fs::remove_dir_all(&scratch).ok();
     let pool = (workers > 1).then(|| Pool::with_registry(workers, &Registry::new()));
-    let profile = run_pipelined(&requests, pool.as_ref(), &scratch.join("pipelined"));
-    let (base_s, base_sha, base_ecdsa) = run_baseline(&requests, &scratch.join("baseline"));
+    let profile = run_staged(&requests, pool.as_ref(), &scratch);
     std::fs::remove_dir_all(&scratch).ok();
 
-    // The acceptance assertions: the pipelined locked window does no
-    // signature verification and no payload/request hashing.
+    // The acceptance assertions: the locked window does no signature
+    // verification and no payload/request hashing.
     assert_eq!(profile.in_lock_ecdsa, 0, "ECDSA leaked into the write lock");
-    assert_eq!(base_ecdsa, n, "baseline verifies every request in-lock");
     assert!(
-        profile.in_lock_sha256 + 2 * n <= base_sha,
-        "locked window should shed >= 2 hashes per request: pipelined {} vs baseline {}",
+        profile.in_lock_sha256 <= MAX_IN_LOCK_SHA256_PER_REQUEST * n,
+        "locked window hashed {} times for {n} requests (ceiling {} per request)",
         profile.in_lock_sha256,
-        base_sha,
+        MAX_IN_LOCK_SHA256_PER_REQUEST,
     );
 
     println!(
@@ -229,7 +207,6 @@ fn main() {
             "\"seal_legs_s\":{{\"fam\":{:.6},\"clue\":{:.6},\"state\":{:.6}}},",
             "\"in_lock\":{{\"sha256\":{},\"ecdsa\":{}}},",
             "\"off_lock\":{{\"sha256\":{},\"ecdsa\":{}}},",
-            "\"baseline_locked\":{{\"seconds\":{:.6},\"sha256\":{},\"ecdsa\":{}}},",
             "\"ecdsa_verify_op_s\":{:.9}}}"
         ),
         n,
@@ -247,9 +224,6 @@ fn main() {
         profile.in_lock_ecdsa,
         profile.off_lock_sha256,
         profile.off_lock_ecdsa,
-        base_s,
-        base_sha,
-        base_ecdsa,
         verify_op_s,
     );
 }

@@ -17,8 +17,8 @@
 //! Loading **re-derives every root from the deserialized structures**
 //! and cross-checks them against the manifest and the last covered
 //! block, so a corrupted or tampered checkpoint is rejected rather than
-//! silently installed (the same posture as snapshot restore and WAL
-//! replay). The skip list is not serialized at all — it is rebuilt from
+//! silently installed (the same posture as WAL replay). The skip list
+//! is not serialized at all — it is rebuilt from
 //! the checkpointed journals, which is deterministic because each
 //! per-clue list seeds its own generator.
 
@@ -113,7 +113,11 @@ fn encode_fam(parts: &FamParts) -> Vec<u8> {
     w.into_bytes()
 }
 
-fn decode_fam(bytes: &[u8]) -> Result<FamParts, WireError> {
+/// Decode the `fam` segment. Public (with [`decode_cm`] and
+/// [`decode_aux`]) so the hostile-bytes suite can drive every segment
+/// decoder directly; the `journals`, `blocks` and `state` segments are
+/// plain [`Wire`] vectors.
+pub fn decode_fam(bytes: &[u8]) -> Result<FamParts, WireError> {
     let mut r = Reader::new(bytes);
     let delta = r.get_u32()?;
     let sealed_roots = Vec::<Digest>::decode(&mut r)?;
@@ -140,7 +144,8 @@ fn encode_cm(parts: &[(String, Shrubs, Vec<u64>)]) -> Vec<u8> {
     w.into_bytes()
 }
 
-fn decode_cm(bytes: &[u8]) -> Result<Vec<(String, Shrubs, Vec<u64>)>, WireError> {
+/// Decode the `cm` segment: `(clue, subtree, jsn refs)` per clue.
+pub fn decode_cm(bytes: &[u8]) -> Result<Vec<(String, Shrubs, Vec<u64>)>, WireError> {
     let mut r = Reader::new(bytes);
     let n = r.get_seq_len(1)?;
     let mut parts = Vec::with_capacity(n);
@@ -155,7 +160,7 @@ fn decode_cm(bytes: &[u8]) -> Result<Vec<(String, Shrubs, Vec<u64>)>, WireError>
 }
 
 /// Auxiliary state: pseudo genesis, occult bitmap, survival milestones.
-struct Aux {
+pub struct Aux {
     pseudo_genesis: Option<(u64, u64, LedgerInfo, Digest)>,
     occult_bits: Vec<u64>,
     occult_anchor: u64,
@@ -180,7 +185,8 @@ fn encode_aux(aux: &Aux) -> Vec<u8> {
     w.into_bytes()
 }
 
-fn decode_aux(bytes: &[u8]) -> Result<Aux, WireError> {
+/// Decode the `aux` segment.
+pub fn decode_aux(bytes: &[u8]) -> Result<Aux, WireError> {
     let mut r = Reader::new(bytes);
     let pseudo_genesis = if r.get_bool()? {
         Some((r.get_u64()?, r.get_u64()?, LedgerInfo::decode(&mut r)?, Digest::decode(&mut r)?))
@@ -408,6 +414,19 @@ pub(crate) fn load_checkpoint(
     // the skip list is rebuilt the same way the commit path built it —
     // per-clue generators make this deterministic.
     let tx_hashes: Vec<Digest> = journals.iter().map(|j| j.tx_hash()).collect();
+    // The journals and blocks segments must name the same history:
+    // every block commits to exactly the tx-hashes its journals
+    // re-derive to (the coverage checks above keep the ranges in
+    // bounds).
+    for b in &blocks {
+        let lo = b.first_jsn as usize;
+        if b.tx_hashes[..] != tx_hashes[lo..lo + b.journal_count as usize] {
+            return Err(LedgerError::Recovery(format!(
+                "checkpoint block {} does not commit to its journals' tx hashes",
+                b.height
+            )));
+        }
+    }
     let mut csl = ClueSkipList::new();
     for j in &journals {
         for clue in &j.clues {

@@ -1,17 +1,12 @@
-//! Wire encodings for core ledger types plus whole-ledger snapshots.
+//! Wire encodings for core ledger types.
 //!
-//! A [`LedgerSnapshot`] serializes the durable part of a ledger — the
-//! journal records, sealed blocks, occult marks and pseudo genesis — to a
-//! single byte blob. Restoration *replays* the journals through a fresh
-//! kernel (rebuilding the fam tree, CM-Tree, world state and indexes) and
-//! then cross-checks every recorded block root, so a corrupted or
-//! tampered snapshot is rejected rather than silently loaded. Payloads
-//! are restored into the target stream store alongside.
+//! These are the record formats every persistent and networked layer
+//! shares: the metadata WAL and the checkpoint segments
+//! ([`crate::recovery`], [`crate::checkpoint`]) store [`Journal`]s and
+//! [`Block`]s in exactly this encoding, and the wire protocol ships
+//! them (plus [`Receipt`]s and requests) to distrusting clients.
 
-use crate::state::StateCommitment;
-use crate::ledger::LedgerDb;
 use crate::types::{Block, Journal, JournalKind, LedgerInfo, Receipt};
-use crate::LedgerError;
 use ledgerdb_crypto::digest::Digest;
 use ledgerdb_crypto::ecdsa::Signature;
 use ledgerdb_crypto::keys::PublicKey;
@@ -181,244 +176,6 @@ impl Wire for crate::types::TxRequest {
     }
 }
 
-/// Snapshot format version byte.
-const SNAPSHOT_VERSION: u8 = 1;
-/// Magic prefix for snapshot blobs.
-const SNAPSHOT_MAGIC: &[u8; 8] = b"LDBSNAP\0";
-
-/// The durable state of a ledger, detached from its kernel.
-#[derive(Clone, Debug)]
-pub struct LedgerSnapshot {
-    /// Journal records, jsn order.
-    pub journals: Vec<Journal>,
-    /// Sealed blocks, height order.
-    pub blocks: Vec<Block>,
-    /// Payloads by stream index (`None` for erased slots).
-    pub payloads: Vec<Option<Vec<u8>>>,
-    /// Occulted jsns.
-    pub occulted: Vec<u64>,
-    /// Purge state: `(purge_to, purge_journal_jsn)` when a purge happened.
-    pub purge: Option<(u64, u64)>,
-}
-
-impl Wire for LedgerSnapshot {
-    fn encode(&self, w: &mut Writer) {
-        w.put_raw(SNAPSHOT_MAGIC);
-        w.put_u8(SNAPSHOT_VERSION);
-        self.journals.encode(w);
-        self.blocks.encode(w);
-        self.payloads.encode(w);
-        self.occulted.encode(w);
-        self.purge.encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let magic = r.get_raw(8)?;
-        if magic != SNAPSHOT_MAGIC {
-            return Err(WireError::Invalid("bad snapshot magic"));
-        }
-        let version = r.get_u8()?;
-        if version != SNAPSHOT_VERSION {
-            return Err(WireError::Invalid("unsupported snapshot version"));
-        }
-        Ok(LedgerSnapshot {
-            journals: Vec::decode(r)?,
-            blocks: Vec::decode(r)?,
-            payloads: Vec::decode(r)?,
-            occulted: Vec::decode(r)?,
-            purge: Option::decode(r)?,
-        })
-    }
-}
-
-impl LedgerDb {
-    /// Export the durable ledger state as a snapshot.
-    pub fn export_snapshot(&self) -> Result<LedgerSnapshot, LedgerError> {
-        let mut payloads = Vec::new();
-        for journal in &self.journals {
-            let idx = journal.stream_index;
-            let slot = if self.store.is_erased(idx)? {
-                None
-            } else {
-                Some(self.store.read(idx)?)
-            };
-            // Stream indexes are assigned sequentially by append order.
-            debug_assert_eq!(payloads.len() as u64, idx);
-            payloads.push(slot);
-        }
-        let occulted = (0..self.journals.len() as u64)
-            .filter(|&jsn| self.occult_index.is_marked(jsn))
-            .collect();
-        Ok(LedgerSnapshot {
-            journals: self.journals.clone(),
-            blocks: self.blocks.clone(),
-            payloads,
-            occulted,
-            purge: self.pseudo_genesis().map(|g| (g.purge_to, g.purge_journal_jsn)),
-        })
-    }
-
-    /// Serialize the snapshot to bytes.
-    pub fn export_bytes(&self) -> Result<Vec<u8>, LedgerError> {
-        Ok(self.export_snapshot()?.to_wire())
-    }
-
-    /// Restore a ledger from a snapshot by *replaying* every journal
-    /// through a fresh kernel and cross-checking each recorded block —
-    /// tx-hashes, accumulator roots and the block-hash chain — so a
-    /// corrupted snapshot fails loudly instead of loading silently.
-    pub fn restore(
-        snapshot: LedgerSnapshot,
-        config: crate::ledger::LedgerConfig,
-        registry: crate::member::MemberRegistry,
-        store: std::sync::Arc<dyn ledgerdb_storage::stream::StreamStore>,
-        clock: std::sync::Arc<dyn ledgerdb_timesvc::clock::Clock>,
-    ) -> Result<LedgerDb, LedgerError> {
-        let mut ledger = LedgerDb::with_parts(config, registry, store, clock);
-        if snapshot.payloads.len() != snapshot.journals.len() {
-            return Err(LedgerError::AuditFailed(
-                "snapshot payload/journal count mismatch".to_string(),
-            ));
-        }
-
-        // Replay journals block by block so the recorded roots can be
-        // checked at every seal point.
-        let mut block_iter = snapshot.blocks.iter().peekable();
-        for (i, journal) in snapshot.journals.iter().enumerate() {
-            let jsn = i as u64;
-            if journal.jsn != jsn {
-                return Err(LedgerError::AuditFailed(format!(
-                    "snapshot journal {i} carries jsn {}",
-                    journal.jsn
-                )));
-            }
-            // Pseudo genesis must be captured *before* its purge journal
-            // lands, mirroring the original purge() execution order.
-            if let JournalKind::Purge { purge_to, .. } = &journal.kind {
-                let snapshot_info = LedgerInfo {
-                    journal_root: ledger.fam.root(),
-                    clue_root: ledger.cm_tree.root(),
-                    state_root: ledger.world_state.commitment_root(),
-                };
-                let genesis_hash = crate::ledger::pseudo_genesis_hash(
-                    &ledger.id,
-                    *purge_to,
-                    &snapshot_info,
-                );
-                ledger.pseudo_genesis = Some(crate::ledger::PseudoGenesis {
-                    purge_to: *purge_to,
-                    purge_journal_jsn: jsn,
-                    snapshot: snapshot_info,
-                    genesis_hash,
-                });
-            }
-
-            // Restore the payload slot.
-            let stream_index = match &snapshot.payloads[i] {
-                Some(payload) => {
-                    if ledgerdb_crypto::sha256(payload) != journal.payload_digest {
-                        return Err(LedgerError::AuditFailed(format!(
-                            "snapshot payload {i} does not match its recorded digest"
-                        )));
-                    }
-                    ledger.store.append(payload)?
-                }
-                None => ledger.store.append_erased(journal.payload_digest)?,
-            };
-            if stream_index != journal.stream_index {
-                return Err(LedgerError::AuditFailed(format!(
-                    "snapshot stream index mismatch at journal {i}"
-                )));
-            }
-
-            // Rebuild the verification structures.
-            let tx_hash = journal.tx_hash();
-            ledger.tx_hashes.push(tx_hash);
-            ledger.fam.append(tx_hash);
-            for clue in &journal.clues {
-                ledger.cm_tree.append(clue, jsn, tx_hash);
-                ledger.csl.append(clue, jsn);
-                ledger.world_state.insert_kv(
-                    ledgerdb_clue::clue_key(clue).as_bytes(),
-                    journal.payload_digest.0.to_vec(),
-                );
-            }
-            ledger.journals.push(journal.clone());
-            ledger.pending.push(jsn);
-
-            // Seal (and verify) any block ending at this journal.
-            if let Some(block) = block_iter.peek() {
-                if block.first_jsn + block.journal_count == jsn + 1 {
-                    let block = block_iter.next().expect("peeked");
-                    let expected_roots = LedgerInfo {
-                        journal_root: ledger.fam.root(),
-                        clue_root: ledger.cm_tree.root(),
-                        state_root: ledger.world_state.commitment_root(),
-                    };
-                    if block.info != expected_roots {
-                        return Err(LedgerError::AuditFailed(format!(
-                            "snapshot block {} roots do not replay",
-                            block.height
-                        )));
-                    }
-                    let prev = ledger
-                        .blocks
-                        .last()
-                        .map(|b| b.hash())
-                        .unwrap_or_else(|| {
-                            ledger
-                                .pseudo_genesis
-                                .as_ref()
-                                .map(|g| g.genesis_hash)
-                                .unwrap_or(Digest::ZERO)
-                        });
-                    if block.prev_block_hash != prev {
-                        return Err(LedgerError::AuditFailed(format!(
-                            "snapshot block {} chain link broken",
-                            block.height
-                        )));
-                    }
-                    let pending = std::mem::take(&mut ledger.pending);
-                    let tx_hashes: Vec<Digest> =
-                        pending.iter().map(|&j| ledger.tx_hashes[j as usize]).collect();
-                    if tx_hashes != block.tx_hashes {
-                        return Err(LedgerError::AuditFailed(format!(
-                            "snapshot block {} tx hashes do not replay",
-                            block.height
-                        )));
-                    }
-                    ledger.blocks.push(block.clone());
-                }
-            }
-        }
-        if block_iter.next().is_some() {
-            return Err(LedgerError::AuditFailed(
-                "snapshot contains blocks beyond its journals".to_string(),
-            ));
-        }
-
-        // Restore occult marks and validate the purge record agrees.
-        for &jsn in &snapshot.occulted {
-            if jsn >= ledger.journals.len() as u64 {
-                return Err(LedgerError::AuditFailed(format!(
-                    "snapshot occults unknown jsn {jsn}"
-                )));
-            }
-            ledger.occult_index.mark(jsn);
-        }
-        match (&snapshot.purge, &ledger.pseudo_genesis) {
-            (None, None) => {}
-            (Some((to, at)), Some(g)) if *to == g.purge_to && *at == g.purge_journal_jsn => {}
-            _ => {
-                return Err(LedgerError::AuditFailed(
-                    "snapshot purge record inconsistent with purge journals".to_string(),
-                ))
-            }
-        }
-        Ok(ledger)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -468,16 +225,5 @@ mod tests {
         let receipt = f.ledger.append_committed(req).unwrap();
         let decoded = Receipt::from_wire(&receipt.to_wire()).unwrap();
         assert!(decoded.verify());
-    }
-
-    #[test]
-    fn snapshot_magic_and_version_enforced() {
-        let f = fixture(4);
-        let mut bytes = f.ledger.export_bytes().unwrap();
-        let mut bad_magic = bytes.clone();
-        bad_magic[0] ^= 0xff;
-        assert!(LedgerSnapshot::from_wire(&bad_magic).is_err());
-        bytes[8] = 99; // version
-        assert!(LedgerSnapshot::from_wire(&bytes).is_err());
     }
 }

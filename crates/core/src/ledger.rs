@@ -64,8 +64,9 @@ pub struct AppendAck {
     pub tx_hash: Digest,
 }
 
-/// A request with its digests precomputed — the unit the pipelined
-/// append path hands to the locked commit stage.
+/// A request with its digests precomputed — the unit
+/// [`crate::SharedLedger::append_batch`] hands to the locked commit
+/// stage.
 ///
 /// `payload_digest` and `request_hash` depend only on the request
 /// bytes, so they can be computed (and π_c verified) on any thread
@@ -505,23 +506,19 @@ impl LedgerDb {
     /// becomes available once the journal's block seals.
     pub fn append(&mut self, request: TxRequest) -> Result<AppendAck, LedgerError> {
         self.verify_request(&request)?;
-        let ack = self.append_journal(
-            JournalKind::Normal,
-            request.clues.clone(),
-            &request.payload,
-            request.hash(),
-            Some(request.client_pk),
-            Some(request.signature),
-        )?;
-        Ok(ack)
+        self.append_preverified(request)
     }
 
     /// Append and immediately seal, returning the full receipt (the
     /// convenience used by latency-sensitive notarization flows).
     pub fn append_committed(&mut self, request: TxRequest) -> Result<Receipt, LedgerError> {
         let ack = self.append(request)?;
-        self.seal_block();
-        Ok(self.receipt(ack.jsn)?.expect("sealed block issues receipts"))
+        // Fallible seal: a WAL failure here must reach the caller as a
+        // typed error (the journals stay pending, the seal is
+        // retryable) — not be stashed and then tripped over as a
+        // missing receipt.
+        self.try_seal_block()?;
+        self.receipt(ack.jsn)?.ok_or(LedgerError::UnknownJournal(ack.jsn))
     }
 
     /// Admission check for a client transaction: membership and π_c.
@@ -557,68 +554,28 @@ impl LedgerDb {
         )
     }
 
-    /// Group-commit append (the service layer's batched entry point).
+    /// Group-commit append — the only batched entry that runs under the
+    /// write lock.
     ///
-    /// Every request is verified up front (rejections are reported in
-    /// the inner results and never consume a payload slot), all accepted
-    /// payloads are written to the payload stream behind a **single**
-    /// sync ([`StreamStore::append_batch`]), each journal (and any
-    /// auto-seal) is WAL-logged in order, and the batch finishes with
-    /// one [`LedgerDb::sync_durable`] barrier — so N appends become
-    /// durable behind O(1) fsyncs instead of O(N).
+    /// Requests arrive *prepared*: digests (and, per the caller's
+    /// [`crate::Admission`], π_c) were computed off-lock by
+    /// [`crate::SharedLedger::append_batch`]. Membership is re-checked
+    /// here (a hash-map lookup, no hashing): prepared requests may have
+    /// queued while the registry changed. Per-item `Err`s (a rejected
+    /// admission, a pool task panic mapped to
+    /// [`LedgerError::TaskFailed`]) pass through positionally and never
+    /// consume a payload slot.
+    ///
+    /// All accepted payloads are written to the payload stream behind a
+    /// **single** sync ([`StreamStore::append_batch`]), each journal
+    /// (and any auto-seal) is WAL-logged in order, and the batch
+    /// finishes with one [`LedgerDb::sync_durable`] barrier — so N
+    /// appends become durable behind O(1) fsyncs instead of O(N). This
+    /// loop performs no payload or request hashing of its own.
     ///
     /// An outer `Err` aborts the batch: requests not yet committed were
     /// not appended (their payload slots are rolled back), and none of
     /// the batch should be acknowledged as durable.
-    pub fn append_batch(
-        &mut self,
-        requests: Vec<TxRequest>,
-    ) -> Result<Vec<Result<AppendAck, LedgerError>>, LedgerError> {
-        if let Some(e) = self.clear_durability_error() {
-            return Err(e);
-        }
-        // Verify π_c and membership before any slot is assigned.
-        let validated: Vec<Result<PreparedTx, LedgerError>> = requests
-            .into_iter()
-            .map(|request| self.verify_request(&request).map(|()| PreparedTx::compute(request)))
-            .collect();
-        self.commit_batch_prepared(validated)
-    }
-
-    /// Group-commit append for requests whose π_c was already verified
-    /// by the service tier (see [`LedgerDb::verify_request`] — run in
-    /// parallel under read locks, it moves the dominant ECDSA cost out
-    /// of this serial commit path). Membership is still enforced, as in
-    /// [`LedgerDb::append_preverified`]. Durability contract identical
-    /// to [`LedgerDb::append_batch`].
-    pub fn append_batch_preverified(
-        &mut self,
-        requests: Vec<TxRequest>,
-    ) -> Result<Vec<Result<AppendAck, LedgerError>>, LedgerError> {
-        if let Some(e) = self.clear_durability_error() {
-            return Err(e);
-        }
-        let validated: Vec<Result<PreparedTx, LedgerError>> = requests
-            .into_iter()
-            .map(|request| {
-                if self.registry.is_registered(&request.client_pk) {
-                    Ok(PreparedTx::compute(request))
-                } else {
-                    Err(LedgerError::UnknownMember)
-                }
-            })
-            .collect();
-        self.commit_batch_prepared(validated)
-    }
-
-    /// Group-commit append for requests whose digests (and, per the
-    /// caller's admission policy, π_c) were computed *off-lock* — the
-    /// pipelined entry point. Membership is re-checked here (a hash-map
-    /// lookup, no hashing): prepared requests may have queued while the
-    /// registry changed. Per-item `Err`s (e.g. a pool task panic mapped
-    /// to [`LedgerError::TaskFailed`]) pass through without consuming a
-    /// payload slot. Durability contract identical to
-    /// [`LedgerDb::append_batch`].
     pub fn append_batch_prepared(
         &mut self,
         prepared: Vec<Result<PreparedTx, LedgerError>>,
@@ -637,19 +594,6 @@ impl LedgerDb {
                 }
             })
             .collect();
-        self.commit_batch_prepared(validated)
-    }
-
-    /// Shared tail of the batched append paths: write all accepted
-    /// payloads behind one sync, commit each journal in order (WAL +
-    /// trees), auto-seal at block boundaries, and finish with one
-    /// durability barrier. All request digests arrive precomputed in the
-    /// [`PreparedTx`]s — this loop performs no payload or request
-    /// hashing of its own.
-    fn commit_batch_prepared(
-        &mut self,
-        validated: Vec<Result<PreparedTx, LedgerError>>,
-    ) -> Result<Vec<Result<AppendAck, LedgerError>>, LedgerError> {
         let start = std::time::Instant::now();
         let payloads: Vec<Vec<u8>> = validated
             .iter()
@@ -820,8 +764,7 @@ impl LedgerDb {
     /// The pending journals remain pending, so the seal is retryable.
     pub fn seal_block(&mut self) {
         if let Err(e) = self.try_seal_block() {
-            self.durability_error = Some(e);
-            self.metrics.durability_error.set(1);
+            self.stash_durability_error(e);
         }
     }
 
@@ -1539,51 +1482,6 @@ pub(crate) mod tests {
         assert_eq!(ack.jsn, 0);
         assert_eq!(f.ledger.get_payload(0).unwrap(), b"hello");
         assert_eq!(f.ledger.list_tx("c1"), vec![0]);
-    }
-
-    #[test]
-    fn append_batch_interleaves_rejections_without_slots() {
-        let mut f = fixture(4);
-        let mallory = KeyPair::from_seed(b"mallory");
-        let mut tampered = tx(&f.alice, b"honest", &[], 2);
-        tampered.payload = b"tampered".to_vec();
-        let batch = vec![
-            tx(&f.alice, b"b0", &["c"], 0),
-            tx(&mallory, b"evil", &[], 1),
-            tampered,
-            tx(&f.bob, b"b3", &["c"], 3),
-        ];
-        let results = f.ledger.append_batch(batch).unwrap();
-        assert_eq!(results.len(), 4);
-        assert_eq!(results[0].as_ref().unwrap().jsn, 0);
-        assert!(matches!(results[1], Err(LedgerError::UnknownMember)));
-        assert!(matches!(results[2], Err(LedgerError::BadClientSignature)));
-        assert_eq!(results[3].as_ref().unwrap().jsn, 1);
-        // Rejected requests consumed no payload slots.
-        assert_eq!(f.ledger.journal_count(), 2);
-        assert_eq!(f.ledger.get_payload(1).unwrap(), b"b3");
-        assert_eq!(f.ledger.list_tx("c"), vec![0, 1]);
-    }
-
-    #[test]
-    fn append_batch_auto_seals_and_matches_sequential_roots() {
-        let mut seq = fixture(4);
-        let mut bat = fixture(4);
-        let reqs: Vec<TxRequest> =
-            (0..10u64).map(|i| tx(&seq.alice, &i.to_be_bytes(), &["c"], i)).collect();
-        for r in reqs.clone() {
-            seq.ledger.append(r).unwrap();
-        }
-        let results = bat.ledger.append_batch(reqs).unwrap();
-        assert!(results.iter().all(|r| r.is_ok()));
-        assert_eq!(bat.ledger.journal_count(), 10);
-        assert_eq!(bat.ledger.block_count(), 2, "auto-seal fired inside the batch");
-        assert_eq!(bat.ledger.journal_root(), seq.ledger.journal_root());
-        assert_eq!(bat.ledger.clue_root(), seq.ledger.clue_root());
-        assert_eq!(bat.ledger.state_root(), seq.ledger.state_root());
-        // Receipts from the sealed prefix verify.
-        let receipt = bat.ledger.receipt(3).unwrap().unwrap();
-        assert!(receipt.verify());
     }
 
     #[test]

@@ -30,7 +30,6 @@ pub mod types;
 pub use audit::{audit_ledger, AuditConfig, AuditReport};
 pub use checkpoint::CheckpointManifest;
 pub use client::{LedgerClient, SyncReport};
-pub use codec::LedgerSnapshot;
 pub use error::LedgerError;
 pub use ledger::{AppendAck, CheckpointPolicy, LedgerConfig, LedgerDb, OccultMode, PreparedTx};
 pub use metrics::{CoreMetrics, RecoveryMetrics};
@@ -46,4 +45,6 @@ pub use sharded::{
 pub use shared::SharedLedger;
 pub use state::{verify_state_proof, StateBackend, StateCommitment, StateProof, WorldState};
 pub use snapshot::{ReadSnapshot, SnapshotHub};
-pub use types::{Block, Journal, JournalKind, LedgerInfo, Receipt, TxRequest, VerifyLevel};
+pub use types::{
+    Admission, Block, Journal, JournalKind, LedgerInfo, Receipt, TxRequest, VerifyLevel,
+};

@@ -8,8 +8,8 @@
 //! * the **metadata WAL** — one [`WalRecord`] per journal and per sealed
 //!   block, written *before* the in-memory kernel mutates.
 //!
-//! [`recover`] replays the reopened WAL through a fresh kernel, exactly
-//! as [`LedgerDb::restore`] replays a snapshot: every journal rebuilds
+//! [`recover`] replays the reopened WAL through a fresh kernel — the
+//! one journal/seal replay loop in the tree: every journal rebuilds
 //! the fam tree, CM-Tree, world state, skip list and occult index; every
 //! seal record's roots, tx-hashes and block-chain link are recomputed
 //! and cross-checked. The replay invariants are:
@@ -429,9 +429,8 @@ fn install_checkpoint(
     Ok(())
 }
 
-/// Replay one journal record into the kernel (mirrors the snapshot
-/// restore path). Returns a human-readable reason on failure so the
-/// caller can apply the sealed/unsealed policy.
+/// Replay one journal record into the kernel. Returns a human-readable
+/// reason on failure so the caller can apply the sealed/unsealed policy.
 fn replay_journal(ledger: &mut LedgerDb, journal: &Journal) -> Result<(), String> {
     let jsn = ledger.journals.len() as u64;
     if journal.jsn != jsn {
@@ -748,7 +747,9 @@ mod tests {
             .unwrap();
             let batch: Vec<TxRequest> =
                 (0..10u64).map(|i| tx(&m.alice, &i.to_be_bytes(), &["c"], i)).collect();
-            let results = ledger.append_batch(batch).unwrap();
+            let prepared =
+                batch.into_iter().map(|r| Ok(crate::ledger::PreparedTx::compute(r))).collect();
+            let results = ledger.append_batch_prepared(prepared).unwrap();
             assert!(results.iter().all(|r| r.is_ok()));
             (ledger.journal_root(), ledger.block_count())
         };

@@ -6,14 +6,14 @@
 //! the lock briefly for appends/seals, while reads over the **sealed
 //! prefix** are served lock-free from the current [`ReadSnapshot`]
 //! (published on every seal; see [`crate::snapshot`]). Only queries
-//! that reach into the unsealed tail — or run with the snapshot path
-//! toggled off — fall back to the shared read lock, so proof serving
-//! no longer stalls behind a writer holding the lock across an fsync.
+//! that reach into the unsealed tail fall back to the shared read lock,
+//! so proof serving does not stall behind a writer holding the lock
+//! across an fsync.
 
-use crate::ledger::{AppendAck, LedgerDb, OccultMode};
+use crate::ledger::{AppendAck, LedgerDb, OccultMode, PreparedTx};
 use crate::snapshot::{ReadSnapshot, SnapshotHub};
 use crate::state::{StateBackend, StateProof};
-use crate::types::{Block, Journal, Receipt, TxRequest, VerifyLevel};
+use crate::types::{Admission, Block, Journal, Receipt, TxRequest, VerifyLevel};
 use crate::LedgerError;
 use ledgerdb_accumulator::fam::{FamProof, TrustedAnchor};
 use ledgerdb_clue::cm_tree::ClueProof;
@@ -21,8 +21,15 @@ use ledgerdb_crypto::digest::Digest;
 use ledgerdb_crypto::keys::PublicKey;
 use ledgerdb_crypto::multisig::MultiSignature;
 use ledgerdb_crypto::sync::RwLock;
+use ledgerdb_pool::{Pool, TaskPanic};
 use ledgerdb_telemetry::trace::{self, StageSpan};
 use std::sync::Arc;
+
+/// A pool task's slot as a per-item result: a panicking task becomes a
+/// typed [`LedgerError::TaskFailed`] in place, its siblings unaffected.
+fn task_result<T>(slot: Result<Result<T, LedgerError>, TaskPanic>) -> Result<T, LedgerError> {
+    slot.unwrap_or_else(|panic| Err(LedgerError::TaskFailed(panic.message)))
+}
 
 /// A cloneable, thread-safe handle to one ledger.
 #[derive(Clone)]
@@ -48,24 +55,9 @@ impl SharedLedger {
         self.hub.load()
     }
 
-    /// Toggle the snapshot read path (on by default). With it off,
-    /// every read goes through the shared read lock — the A/B baseline
-    /// for the mixed-workload benchmark.
-    pub fn set_snapshot_reads(&self, on: bool) {
-        self.hub.set_reads_enabled(on);
-    }
-
-    /// Is the snapshot read path enabled?
-    pub fn snapshot_reads(&self) -> bool {
-        self.hub.reads_enabled()
-    }
-
-    /// Load the current snapshot if the read path is enabled AND the
-    /// sealed prefix covers `jsn`; counts the hit/fallback either way.
+    /// Load the current snapshot if the sealed prefix covers `jsn`;
+    /// counts the hit/fallback either way.
     fn snap_covering(&self, jsn: u64) -> Option<Arc<ReadSnapshot>> {
-        if !self.hub.reads_enabled() {
-            return None;
-        }
         let snap = self.hub.load();
         if snap.covers(jsn) {
             self.hub.note_hit(&snap);
@@ -86,137 +78,83 @@ impl SharedLedger {
         self.inner.write().append_committed(request)
     }
 
-    /// Group-commit append: the whole batch becomes durable behind O(1)
-    /// fsyncs (see [`LedgerDb::append_batch`]). Takes the write lock
-    /// once for the entire batch.
+    /// Group-commit append — the one batched way in.
+    ///
+    /// Every request is prepared **before** the write lock is taken:
+    /// admission per `admission` (membership + π_c against the
+    /// lock-free snapshot registry under [`Admission::Verify`]; nothing
+    /// under [`Admission::ProxyTrusted`], where π_c was checked
+    /// upstream) and digest precompute ([`PreparedTx::compute`]). With
+    /// a `pool` the preparation fans out across it — a panicking item
+    /// surfaces as a typed per-item [`LedgerError::TaskFailed`], its
+    /// siblings commit normally; without one it runs inline on the
+    /// caller. The lock is then taken once, for structural inserts plus
+    /// one WAL write ([`LedgerDb::append_batch_prepared`], which also
+    /// enforces membership under both admissions).
+    ///
+    /// Results are positional: rejected items report their error in
+    /// place and consume neither a jsn nor a payload slot, and jsn
+    /// assignment — done under the lock in request order — is
+    /// byte-for-byte independent of `pool`.
     pub fn append_batch(
         &self,
         requests: Vec<TxRequest>,
+        admission: Admission,
+        pool: Option<&Pool>,
     ) -> Result<Vec<Result<AppendAck, LedgerError>>, LedgerError> {
+        let precompute = StageSpan::begin("precompute");
+        let prepare = |request: TxRequest| {
+            if admission == Admission::Verify {
+                self.verify_request(&request)?;
+            }
+            Ok(PreparedTx::compute(request))
+        };
+        let prepared: Vec<Result<PreparedTx, LedgerError>> = match pool {
+            Some(pool) => {
+                // Worker spans carry the submitting request's scope
+                // across the fan-out, so per-item verify/digest work
+                // shows up (with the worker's thread id) inside that
+                // request's span tree.
+                let scope = trace::current_scope();
+                pool.try_map(&requests, |_, request| {
+                    let _scope = scope.clone().map(trace::install);
+                    let _task = StageSpan::begin("precompute_task");
+                    prepare(request.clone())
+                })
+                .into_iter()
+                .map(task_result)
+                .collect()
+            }
+            None => requests.into_iter().map(prepare).collect(),
+        };
+        drop(precompute);
         let _locked = StageSpan::begin("locked_insert");
-        self.inner.write().append_batch(requests)
-    }
-
-    /// Append a request whose π_c was verified upstream (proxy tier,
-    /// Fig 1); membership is still enforced. See
-    /// [`LedgerDb::append_preverified`].
-    pub fn append_preverified(&self, request: TxRequest) -> Result<AppendAck, LedgerError> {
-        self.inner.write().append_preverified(request)
-    }
-
-    /// Proxy-admitted variant of [`SharedLedger::append_committed`]:
-    /// append, seal, and return the receipt, skipping the π_c re-check.
-    pub fn append_committed_preverified(
-        &self,
-        request: TxRequest,
-    ) -> Result<Receipt, LedgerError> {
-        let mut inner = self.inner.write();
-        let ack = inner.append_preverified(request)?;
-        inner.try_seal_block()?;
-        Ok(inner.receipt(ack.jsn)?.expect("sealed block issues receipts"))
+        self.inner.write().append_batch_prepared(prepared)
     }
 
     /// Admission check (membership + π_c), served lock-free from the
     /// snapshot's frozen registry view: many client threads verify in
     /// parallel without even a read lock. A member unknown to the
     /// snapshot (registered after the last publish) falls back to the
-    /// live registry under the read lock before being rejected. Pair
-    /// with [`SharedLedger::append_batch_preverified`].
+    /// live registry under the read lock before being rejected.
     pub fn verify_request(&self, request: &TxRequest) -> Result<(), LedgerError> {
-        if self.hub.reads_enabled() {
-            let snap = self.hub.load();
-            match snap.verify_request(request) {
-                Err(LedgerError::UnknownMember) => {
-                    self.hub.note_fallback(&snap);
-                }
-                verdict => {
-                    self.hub.note_hit(&snap);
-                    return verdict;
-                }
+        let snap = self.hub.load();
+        match snap.verify_request(request) {
+            Err(LedgerError::UnknownMember) => {
+                self.hub.note_fallback(&snap);
+                self.inner.read().verify_request(request)
+            }
+            verdict => {
+                self.hub.note_hit(&snap);
+                verdict
             }
         }
-        self.inner.read().verify_request(request)
-    }
-
-    /// Group-commit append for requests already admitted via
-    /// [`SharedLedger::verify_request`] — the serial committer skips
-    /// the dominant ECDSA cost.
-    pub fn append_batch_preverified(
-        &self,
-        requests: Vec<TxRequest>,
-    ) -> Result<Vec<Result<AppendAck, LedgerError>>, LedgerError> {
-        let _locked = StageSpan::begin("locked_insert");
-        self.inner.write().append_batch_preverified(requests)
     }
 
     /// Install (or clear) the seal-time compute pool on the underlying
     /// ledger; see [`LedgerDb::set_pool`].
-    pub fn set_pool(&self, pool: Option<Arc<ledgerdb_pool::Pool>>) {
+    pub fn set_pool(&self, pool: Option<Arc<Pool>>) {
         self.inner.write().set_pool(pool);
-    }
-
-    /// Fully pipelined group-commit append: admission (membership +
-    /// π_c, against the lock-free snapshot registry) *and* digest
-    /// precompute fan out across `pool` before the write lock is taken,
-    /// so the locked window is structural inserts + one WAL write. A
-    /// panicking item surfaces as a typed per-item
-    /// [`LedgerError::TaskFailed`]; its siblings commit normally.
-    ///
-    /// Result order is positional (the pool's map is index-stable), so
-    /// acks line up with `requests` exactly as in
-    /// [`SharedLedger::append_batch`] — and jsn assignment, done under
-    /// the lock in that same order, is byte-for-byte identical to the
-    /// serial path.
-    pub fn append_batch_pipelined(
-        &self,
-        requests: Vec<TxRequest>,
-        pool: &ledgerdb_pool::Pool,
-    ) -> Result<Vec<Result<AppendAck, LedgerError>>, LedgerError> {
-        let prepared = self.prepare_off_lock(requests, pool, true);
-        let _locked = StageSpan::begin("locked_insert");
-        self.inner.write().append_batch_prepared(prepared)
-    }
-
-    /// Pipelined variant of [`SharedLedger::append_batch_preverified`]:
-    /// π_c was already checked upstream (per-connection admission or a
-    /// trusted proxy tier), so the off-lock stage computes digests only.
-    pub fn append_batch_preverified_pipelined(
-        &self,
-        requests: Vec<TxRequest>,
-        pool: &ledgerdb_pool::Pool,
-    ) -> Result<Vec<Result<AppendAck, LedgerError>>, LedgerError> {
-        let prepared = self.prepare_off_lock(requests, pool, false);
-        let _locked = StageSpan::begin("locked_insert");
-        self.inner.write().append_batch_prepared(prepared)
-    }
-
-    /// Off-lock stage of the pipelined appends: verify (optionally) and
-    /// digest every request across the pool. Runs under no ledger lock.
-    fn prepare_off_lock(
-        &self,
-        requests: Vec<TxRequest>,
-        pool: &ledgerdb_pool::Pool,
-        check_signatures: bool,
-    ) -> Vec<Result<crate::ledger::PreparedTx, LedgerError>> {
-        let _precompute = StageSpan::begin("precompute");
-        // Worker spans carry the submitting request's scope across the
-        // fan-out, so per-item verify/digest work shows up (with the
-        // worker's thread id) inside that request's span tree.
-        let scope = trace::current_scope();
-        pool.try_map(&requests, |_, request| {
-            let _scope = scope.clone().map(trace::install);
-            let _task = StageSpan::begin("precompute_task");
-            if check_signatures {
-                self.verify_request(request)?;
-            }
-            Ok(crate::ledger::PreparedTx::compute(request.clone()))
-        })
-        .into_iter()
-        .map(|slot| match slot {
-            Ok(item) => item,
-            Err(panic) => Err(LedgerError::TaskFailed(panic.message)),
-        })
-        .collect()
     }
 
     /// Seal the pending block. Infallible: a WAL failure is stashed as
@@ -272,7 +210,7 @@ impl SharedLedger {
 
     /// Snapshot read-path counters as `(hits, fallbacks)`: reads served
     /// lock-free from the published snapshot vs. reads that had to take
-    /// the ledger lock (unsealed tail, disabled path, …).
+    /// the ledger lock (the unsealed tail).
     pub fn snapshot_read_counts(&self) -> (u64, u64) {
         let inner = self.inner.read();
         (
@@ -319,12 +257,9 @@ impl SharedLedger {
     /// at its publish point — is always valid, at worst covering a few
     /// epochs fewer than the live fam.
     pub fn anchor(&self) -> TrustedAnchor {
-        if self.hub.reads_enabled() {
-            let snap = self.hub.load();
-            self.hub.note_hit(&snap);
-            return snap.anchor().clone();
-        }
-        self.inner.read().anchor()
+        let snap = self.hub.load();
+        self.hub.note_hit(&snap);
+        snap.anchor().clone()
     }
 
     /// Sealed block count.
@@ -350,18 +285,11 @@ impl SharedLedger {
 
     /// Clone sealed blocks `[from_height, from_height + max)` — the
     /// block-download feed a distrusting client syncs from. Blocks only
-    /// exist sealed, so the snapshot always serves this when enabled.
+    /// exist sealed, so the snapshot always serves this.
     pub fn blocks_from(&self, from_height: u64, max: u64) -> Vec<Block> {
-        if self.hub.reads_enabled() {
-            let snap = self.hub.load();
-            self.hub.note_hit(&snap);
-            return snap.blocks_from(from_height, max);
-        }
-        let inner = self.inner.read();
-        let blocks = inner.blocks();
-        let lo = (from_height as usize).min(blocks.len());
-        let hi = lo.saturating_add(max as usize).min(blocks.len());
-        blocks[lo..hi].to_vec()
+        let snap = self.hub.load();
+        self.hub.note_hit(&snap);
+        snap.blocks_from(from_height, max)
     }
 
     /// Fetch a journal record plus its payload (None when erased).
@@ -419,31 +347,26 @@ impl SharedLedger {
         anchor: &TrustedAnchor,
         pool: Option<&ledgerdb_pool::Pool>,
     ) -> Vec<Result<(Digest, FamProof), LedgerError>> {
-        if self.hub.reads_enabled() {
-            let snap = self.hub.load();
-            if snap.can_prove() && jsns.iter().all(|&jsn| snap.covers(jsn)) {
-                self.hub.note_hit(&snap);
-                if let Some(pool) = pool {
-                    // Worker spans carry the request's scope across the
-                    // fan-out, exactly as the pipelined append path.
-                    let scope = trace::current_scope();
-                    return pool
-                        .try_map(jsns, |_, &jsn| {
-                            let _scope = scope.clone().map(trace::install);
-                            let _span = StageSpan::begin("proof_task");
-                            snap.prove_existence(jsn, anchor)
-                        })
-                        .into_iter()
-                        .map(|slot| match slot {
-                            Ok(result) => result,
-                            Err(panic) => Err(LedgerError::TaskFailed(panic.message)),
-                        })
-                        .collect();
-                }
-                return jsns.iter().map(|&jsn| snap.prove_existence(jsn, anchor)).collect();
+        let snap = self.hub.load();
+        if snap.can_prove() && jsns.iter().all(|&jsn| snap.covers(jsn)) {
+            self.hub.note_hit(&snap);
+            if let Some(pool) = pool {
+                // Worker spans carry the request's scope across the
+                // fan-out, exactly as the append path's precompute.
+                let scope = trace::current_scope();
+                return pool
+                    .try_map(jsns, |_, &jsn| {
+                        let _scope = scope.clone().map(trace::install);
+                        let _span = StageSpan::begin("proof_task");
+                        snap.prove_existence(jsn, anchor)
+                    })
+                    .into_iter()
+                    .map(task_result)
+                    .collect();
             }
-            self.hub.note_fallback(&snap);
+            return jsns.iter().map(|&jsn| snap.prove_existence(jsn, anchor)).collect();
         }
+        self.hub.note_fallback(&snap);
         let inner = self.inner.read();
         jsns.iter().map(|&jsn| inner.prove_existence(jsn, anchor)).collect()
     }
@@ -495,14 +418,12 @@ impl SharedLedger {
     /// unsealed tail exists (a tail journal could carry the clue, and
     /// the snapshot cannot see it); otherwise the locked path answers.
     pub fn list_tx(&self, clue: &str) -> Vec<u64> {
-        if self.hub.reads_enabled() {
-            let snap = self.hub.load();
-            if snap.journal_count() == self.hub.live_journals() {
-                self.hub.note_hit(&snap);
-                return snap.list_tx(clue);
-            }
-            self.hub.note_fallback(&snap);
+        let snap = self.hub.load();
+        if snap.journal_count() == self.hub.live_journals() {
+            self.hub.note_hit(&snap);
+            return snap.list_tx(clue);
         }
+        self.hub.note_fallback(&snap);
         self.inner.read().list_tx(clue)
     }
 
@@ -735,11 +656,11 @@ mod tests {
             ledgerdb_telemetry::parse_value(&text, "ledger_snapshot_fallback_total").unwrap();
         assert!(hits >= 1.0, "sealed reads should hit the snapshot:\n{text}");
         assert!(falls >= 3.0, "tail reads should fall back:\n{text}");
-        // With the path disabled, everything still answers (locked).
-        shared.set_snapshot_reads(false);
-        assert!(!shared.snapshot_reads());
-        assert!(shared.get_tx(3).is_ok());
-        assert_eq!(shared.list_tx("c").len(), 10);
+        // The locked path, reached directly, gives the same answers.
+        shared.with_read(|l| {
+            assert!(l.get_tx(3).is_ok());
+            assert_eq!(l.list_tx("c").len(), 10);
+        });
     }
 
     #[test]
@@ -769,6 +690,56 @@ mod tests {
         let anchor = TrustedAnchor::default();
         let (tx_hash, proof) = snap.prove_existence(2, &anchor).unwrap();
         snap.verify_existence(2, &tx_hash, &proof, &anchor, VerifyLevel::Client).unwrap();
+    }
+
+    #[test]
+    fn append_batch_interleaves_rejections_without_slots() {
+        use ledgerdb_crypto::keys::KeyPair;
+        let f = fixture(4);
+        let mallory = KeyPair::from_seed(b"mallory");
+        let mut tampered = TxRequest::signed(&f.alice, b"honest".to_vec(), vec![], 2);
+        tampered.payload = b"tampered".to_vec();
+        let batch = vec![
+            TxRequest::signed(&f.alice, b"b0".to_vec(), vec!["c".into()], 0),
+            TxRequest::signed(&mallory, b"evil".to_vec(), vec![], 1),
+            tampered,
+            TxRequest::signed(&f.bob, b"b3".to_vec(), vec!["c".into()], 3),
+        ];
+        let shared = SharedLedger::new(f.ledger);
+        let results = shared.append_batch(batch, Admission::Verify, None).unwrap();
+        assert_eq!(results.len(), 4);
+        assert_eq!(results[0].as_ref().unwrap().jsn, 0);
+        assert!(matches!(results[1], Err(LedgerError::UnknownMember)));
+        assert!(matches!(results[2], Err(LedgerError::BadClientSignature)));
+        assert_eq!(results[3].as_ref().unwrap().jsn, 1);
+        // Rejected requests consumed no payload slots.
+        assert_eq!(shared.journal_count(), 2);
+        assert_eq!(shared.get_tx(1).unwrap().1.unwrap(), b"b3");
+        assert_eq!(shared.list_tx("c"), vec![0, 1]);
+    }
+
+    #[test]
+    fn append_batch_auto_seals_and_matches_sequential_roots() {
+        let seq = fixture(4);
+        let bat = fixture(4);
+        let reqs: Vec<TxRequest> = (0..10u64)
+            .map(|i| TxRequest::signed(&seq.alice, i.to_be_bytes().to_vec(), vec!["c".into()], i))
+            .collect();
+        let mut seq = seq.ledger;
+        for r in reqs.clone() {
+            seq.append(r).unwrap();
+        }
+        let bat = SharedLedger::new(bat.ledger);
+        let results = bat.append_batch(reqs, Admission::Verify, None).unwrap();
+        assert!(results.iter().all(|r| r.is_ok()));
+        assert_eq!(bat.journal_count(), 10);
+        assert_eq!(bat.block_count(), 2, "auto-seal fired inside the batch");
+        assert_eq!(bat.journal_root(), seq.journal_root());
+        assert_eq!(bat.clue_root(), seq.clue_root());
+        assert_eq!(bat.state_root(), seq.state_root());
+        // Receipts from the sealed prefix verify.
+        let receipt = bat.receipt(3).unwrap().unwrap();
+        assert!(receipt.verify());
     }
 
     #[test]

@@ -44,7 +44,7 @@ use ledgerdb_crypto::sync::ArcCell;
 use ledgerdb_storage::occult_index::OccultBits;
 use ledgerdb_storage::stream::StreamStore;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -380,11 +380,10 @@ impl ReadSnapshot {
 /// The shared state connecting a `LedgerDb` (publisher) to its readers:
 /// the current snapshot behind an [`ArcCell`], a lock-free live journal
 /// counter (so `ListTx` can tell whether an unsealed tail exists without
-/// taking the lock), and the A/B toggle for the snapshot read path.
+/// taking the lock).
 pub struct SnapshotHub {
     cell: ArcCell<ReadSnapshot>,
     live_journals: AtomicU64,
-    snapshot_reads: AtomicBool,
 }
 
 impl SnapshotHub {
@@ -392,7 +391,6 @@ impl SnapshotHub {
         SnapshotHub {
             cell: ArcCell::new(Arc::new(initial)),
             live_journals: AtomicU64::new(0),
-            snapshot_reads: AtomicBool::new(true),
         }
     }
 
@@ -420,17 +418,6 @@ impl SnapshotHub {
     /// Live journal count as last reported by the kernel.
     pub fn live_journals(&self) -> u64 {
         self.live_journals.load(Ordering::Acquire)
-    }
-
-    /// Is the snapshot read path enabled? (A/B toggle; on by default.)
-    pub fn reads_enabled(&self) -> bool {
-        self.snapshot_reads.load(Ordering::Relaxed)
-    }
-
-    /// Toggle the snapshot read path (false forces every read through
-    /// the locked path — the benchmark baseline).
-    pub fn set_reads_enabled(&self, on: bool) {
-        self.snapshot_reads.store(on, Ordering::Relaxed);
     }
 
     /// Count a read served from the snapshot and refresh the age gauge.

@@ -16,6 +16,25 @@ pub enum VerifyLevel {
     Client,
 }
 
+/// Where π_c (the client signature) is checked before a request reaches
+/// the commit path.
+///
+/// The paper's deployment (Fig 1) fronts the ledger server with a proxy
+/// fleet that authenticates clients. A server trusting its proxy tier
+/// skips the per-request ECDSA verify — the dominant CPU cost of an
+/// append — while membership is still enforced at commit. A server
+/// exposed directly to clients must verify.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Admission {
+    /// Verify membership + π_c on every append (direct-to-client
+    /// deployment; the default).
+    #[default]
+    Verify,
+    /// Trust that an upstream proxy tier verified π_c; enforce only
+    /// membership (Fig-1 deployment behind authenticated proxies).
+    ProxyTrusted,
+}
+
 /// The kind of a journal entry.
 ///
 /// Mutation variants are much larger than `Normal`, but journals are

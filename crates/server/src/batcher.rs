@@ -20,6 +20,7 @@
 
 use crate::metrics::BatchMetrics;
 use crate::protocol::{ErrorCode, ErrorFrame};
+pub use ledgerdb_core::Admission;
 use ledgerdb_core::{Receipt, SharedLedger, TxRequest};
 use ledgerdb_crypto::digest::Digest;
 use ledgerdb_crypto::sync::Mutex;
@@ -28,28 +29,6 @@ use ledgerdb_telemetry::Registry;
 use std::sync::mpsc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-
-/// Where π_c (the client signature) is checked before a request reaches
-/// the commit path.
-///
-/// The paper's deployment (Fig 1) fronts the ledger server with a proxy
-/// fleet that authenticates clients; the kernel exposes
-/// [`LedgerDb::append_preverified`] for exactly that split. A server
-/// trusting its proxy tier skips the per-request ECDSA verify — the
-/// dominant CPU cost of an append — while membership is still enforced
-/// at commit. A server exposed directly to clients must verify.
-///
-/// [`LedgerDb::append_preverified`]: ledgerdb_core::LedgerDb::append_preverified
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Admission {
-    /// Verify membership + π_c on every append (direct-to-client
-    /// deployment; the default).
-    #[default]
-    Verify,
-    /// Trust that an upstream proxy tier verified π_c; enforce only
-    /// membership (Fig-1 deployment behind authenticated proxies).
-    ProxyTrusted,
-}
 
 /// Group-commit tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -155,12 +134,12 @@ impl GroupCommitter {
     }
 
     /// As [`GroupCommitter::start_with`], with an optional compute
-    /// pool. With a pool, each commit window's digest precompute runs
-    /// across the pool *before* the committer takes the write lock
-    /// (π_c was already checked at [`GroupCommitter::submit`], so the
-    /// off-lock stage hashes only); the locked window is structural
-    /// inserts plus one WAL write. Results are byte-identical to the
-    /// serial path.
+    /// pool: each commit window's digest precompute fans out across it
+    /// (inline on the committer thread otherwise) *before* the write
+    /// lock is taken. π_c was already checked at
+    /// [`GroupCommitter::submit`], so the off-lock stage hashes only;
+    /// the locked window is structural inserts plus one WAL write.
+    /// Results are byte-identical with or without a pool.
     pub fn start_with_pool(
         shared: SharedLedger,
         config: BatchConfig,
@@ -295,7 +274,7 @@ fn committer_loop(
     }
 }
 
-/// Make one batch durable and answer every job (via [`Job::settle`], so
+/// Make one window durable and answer every job (via [`Job::settle`], so
 /// each waiter is answered exactly once even on the error paths).
 fn commit_batch(
     shared: &SharedLedger,
@@ -317,34 +296,62 @@ fn commit_batch(
     let members: Vec<TraceContext> = jobs.iter().filter_map(|job| job.ctx).collect();
     let _window_scope = trace::install_window(&members);
     let _commit_span = metrics.commit_seconds.time("batch_commit");
-    let requests: Vec<TxRequest> = jobs.iter().map(|j| j.request.clone()).collect();
-    // π_c was verified at submit(); with a pool the digest precompute
-    // fans out off-lock, and either way the batched commit skips the
-    // redundant ECDSA.
-    let results = match pool {
-        Some(pool) => shared.append_batch_preverified_pipelined(requests, pool),
-        None => shared.append_batch_preverified(requests),
-    };
-    let results = match results {
-        Ok(results) => results,
-        Err(e) => {
-            // Batch-wide failure: nothing was acked, nothing is promised.
-            let frame = ErrorFrame::from_ledger_error(&e);
+    let window: Vec<(TxRequest, bool)> =
+        jobs.iter().map(|job| (job.request.clone(), job.committed)).collect();
+    // π_c was verified at submit(): the window skips the redundant ECDSA.
+    match commit_window(shared, window, Admission::ProxyTrusted, pool) {
+        Ok(outcomes) => {
+            debug_assert_eq!(outcomes.len(), jobs.len());
+            for (mut job, outcome) in jobs.into_iter().zip(outcomes) {
+                job.settle(outcome);
+            }
+        }
+        // Window-wide failure: nothing was acked, nothing is promised.
+        Err(frame) => {
             for job in &mut jobs {
                 job.settle(Err(frame.clone()));
             }
-            return;
         }
-    };
-    debug_assert_eq!(results.len(), jobs.len());
+    }
+}
 
-    // Seal before answering `committed` jobs: a receipt binds its block
-    // hash, so the seal's WAL record must be durable before the receipt
-    // leaves the building.
-    let wants_seal = jobs
-        .iter()
-        .zip(&results)
-        .any(|(job, result)| job.committed && result.is_ok());
+/// A commit window of one, run inline on the caller's thread — how a
+/// server without a committer appends. Every append thus reaches the
+/// kernel through [`SharedLedger::append_batch`] whichever way it
+/// arrived, and is acknowledged only after the window's barrier.
+pub(crate) fn commit_inline(
+    shared: &SharedLedger,
+    request: TxRequest,
+    committed: bool,
+    admission: Admission,
+) -> Result<CommitOutcome, ErrorFrame> {
+    commit_window(shared, vec![(request, committed)], admission, None)?.pop().unwrap_or_else(|| {
+        Err(ErrorFrame {
+            code: ErrorCode::Internal,
+            detail: "commit window answered no outcome".into(),
+        })
+    })
+}
+
+/// Commit `(request, wants_receipt)` pairs as one durable unit and
+/// resolve each to its outcome, positionally — the body of a commit
+/// window. An outer `Err` means nothing in the window may be
+/// acknowledged.
+fn commit_window(
+    shared: &SharedLedger,
+    window: Vec<(TxRequest, bool)>,
+    admission: Admission,
+    pool: Option<&ledgerdb_pool::Pool>,
+) -> Result<Vec<Result<CommitOutcome, ErrorFrame>>, ErrorFrame> {
+    let (requests, committed): (Vec<TxRequest>, Vec<bool>) = window.into_iter().unzip();
+    let results = shared
+        .append_batch(requests, admission, pool)
+        .map_err(|e| ErrorFrame::from_ledger_error(&e))?;
+
+    // Seal before answering `committed` members: a receipt binds its
+    // block hash, so the seal's WAL record must be durable before the
+    // receipt leaves the building.
+    let wants_seal = committed.iter().zip(&results).any(|(&c, result)| c && result.is_ok());
     let seal_error = if wants_seal {
         shared
             .try_seal_block()
@@ -355,10 +362,12 @@ fn commit_batch(
         None
     };
 
-    for (mut job, result) in jobs.into_iter().zip(results) {
-        let outcome = match result {
+    Ok(results
+        .into_iter()
+        .zip(committed)
+        .map(|(result, committed)| match result {
             Err(e) => Err(ErrorFrame::from_ledger_error(&e)),
-            Ok(ack) if !job.committed => {
+            Ok(ack) if !committed => {
                 Ok(CommitOutcome::Appended { jsn: ack.jsn, tx_hash: ack.tx_hash })
             }
             Ok(ack) => match &seal_error {
@@ -372,9 +381,8 @@ fn commit_batch(
                     Err(e) => Err(ErrorFrame::from_ledger_error(&e)),
                 },
             },
-        };
-        job.settle(outcome);
-    }
+        })
+        .collect())
 }
 
 #[cfg(test)]

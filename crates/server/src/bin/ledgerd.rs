@@ -7,7 +7,7 @@
 //!         [--idle-timeout-ms 60000] [--max-connections N] \
 //!         [--fsync always|never|every-N] \
 //!         [--batch-window-us 150] [--batch-max 64] [--no-batch] \
-//!         [--proxy-admission] [--no-snapshot-reads] \
+//!         [--proxy-admission] \
 //!         [--block-size 16] [--seed demo] \
 //!         [--checkpoint-every-n-seals 64]   # 0 disables \
 //!         [--metrics-dump PATH] [--metrics-interval-ms 1000] \
@@ -93,7 +93,6 @@ fn usage() -> ! {
          [--max-connections N] \
          [--fsync always|never|every-N] [--batch-window-us US] \
          [--batch-max N] [--no-batch] [--proxy-admission] \
-         [--no-snapshot-reads] \
          [--block-size N] [--seed SEED] \
          [--checkpoint-every-n-seals N] [--metrics-dump PATH] \
          [--metrics-interval-ms MS] [--slow-op-ms MS] \
@@ -113,7 +112,6 @@ struct Args {
     fsync: FsyncPolicy,
     batch: Option<BatchConfig>,
     admission: Admission,
-    snapshot_reads: bool,
     block_size: u64,
     seed: String,
     checkpoint_every_n_seals: u64,
@@ -137,7 +135,6 @@ fn parse_args() -> Args {
         fsync: FsyncPolicy::Always,
         batch: Some(BatchConfig::default()),
         admission: Admission::Verify,
-        snapshot_reads: true,
         block_size: 16,
         seed: "demo".into(),
         checkpoint_every_n_seals: 64,
@@ -196,9 +193,6 @@ fn parse_args() -> Args {
             // π_c verified by an authenticated proxy tier (Fig 1); the
             // server enforces membership only.
             "--proxy-admission" => args.admission = Admission::ProxyTrusted,
-            // Force every read through the ledger lock — the A/B
-            // baseline against the lock-free snapshot path.
-            "--no-snapshot-reads" => args.snapshot_reads = false,
             "--block-size" => args.block_size = parse_num(&value("--block-size")),
             "--seed" => args.seed = value("--seed"),
             // 0 disables checkpointing (pure WAL replay on restart).
@@ -354,17 +348,16 @@ fn main() {
         exit(2);
     });
     // `--workers N` sizes both thread pools: N connection threads, and
-    // (for N > 1) an N-worker compute pool that pipelines batch
-    // admission off the write lock, hashes seal subtrees in parallel,
-    // and fans out batch proofs. `--workers 1` keeps every compute
-    // stage serial — the A/B baseline; results are byte-identical.
+    // (for N > 1) an N-worker compute pool that batch admission,
+    // seal-subtree hashing and batch proofs fan out across. With
+    // `--workers 1` the same stages run inline on the calling thread;
+    // results are byte-identical.
     let pool = (args.workers > 1).then(|| ledgerdb_pool::Pool::new(args.workers));
     let mut server_config = ServerConfig {
         bind: args.bind.clone(),
         workers: args.workers,
         batch: args.batch,
         admission: args.admission,
-        snapshot_reads: args.snapshot_reads,
         pool,
         ..ServerConfig::default()
     };

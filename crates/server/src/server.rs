@@ -67,18 +67,14 @@ pub struct ServerConfig {
     /// Where π_c is checked (see [`Admission`]). Defaults to verifying
     /// every request at the server.
     pub admission: Admission,
-    /// Serve sealed-prefix reads lock-free from the published
-    /// [`ledgerdb_core::ReadSnapshot`] (default). Disable to force every
-    /// read through the ledger lock — the A/B baseline for benchmarks.
-    pub snapshot_reads: bool,
     /// Telemetry sink for the server, its committer, and the `Stats`
     /// exposition. Defaults to the process-global registry; tests bind
     /// their own for isolation.
     pub registry: Arc<Registry>,
-    /// Compute pool for the CPU-parallel append/proof pipeline:
-    /// off-lock batch admission + digest precompute, parallel seal
-    /// hashing, and fanned-out batch proofs. `None` (the default) keeps
-    /// every stage serial — the A/B baseline.
+    /// Compute pool for the CPU-parallel append/proof pipeline: the
+    /// off-lock batch admission + digest precompute fans out across it,
+    /// as do seal hashing and batch proofs. `None` (the default) runs
+    /// the same stages inline on the calling thread.
     pub pool: Option<Arc<ledgerdb_pool::Pool>>,
 }
 
@@ -93,7 +89,6 @@ impl Default for ServerConfig {
             max_frame: DEFAULT_MAX_FRAME,
             batch: Some(BatchConfig::default()),
             admission: Admission::Verify,
-            snapshot_reads: true,
             registry: Registry::global().clone(),
             pool: None,
         }

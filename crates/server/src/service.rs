@@ -9,7 +9,7 @@
 //! which is what makes their responses byte-identical by construction:
 //! the differential suite asserts it, but the sharing is the proof.
 
-use crate::batcher::{Admission, CommitOutcome, GroupCommitter};
+use crate::batcher::{commit_inline, Admission, CommitOutcome, GroupCommitter};
 use crate::metrics::{kind_index, ServerMetrics, REQUEST_KINDS};
 use crate::protocol::{
     AppendedAck, ErrorCode, ErrorFrame, ProofItem, Request, Response, ServerInfo, SpanRecord,
@@ -55,9 +55,9 @@ pub struct RequestService {
 }
 
 impl RequestService {
-    /// Wire a ledger to a config: snapshot reads, the compute pool, the
-    /// group committer, and metric handles — exactly once, regardless of
-    /// which transport will drive requests.
+    /// Wire a ledger to a config: the compute pool, the group committer,
+    /// and metric handles — exactly once, regardless of which transport
+    /// will drive requests.
     pub fn start(shared: SharedLedger, config: &ServerConfig) -> RequestService {
         Self::start_sharded(ShardedLedger::single(shared), config)
     }
@@ -70,7 +70,6 @@ impl RequestService {
     pub fn start_sharded(sharded: ShardedLedger, config: &ServerConfig) -> RequestService {
         let mut committers = Vec::with_capacity(sharded.k());
         for shard in sharded.shards() {
-            shard.set_snapshot_reads(config.snapshot_reads);
             // Wire the compute pool all the way down: the ledger uses it
             // to hash seal subtrees in parallel, the committer to
             // pipeline batch admission off the write lock.
@@ -333,72 +332,41 @@ impl RequestService {
     }
 
     /// One-frame group commit: the client pre-batched, so the
-    /// committer's accumulation window buys nothing — the batch goes
-    /// straight through the batched ledger entry points. With a compute
-    /// pool configured, admission (membership + π_c) and journal digests
-    /// fan out across the pool *before* the write lock; without one, the
-    /// serial batched path runs — byte-identical results either way.
+    /// committer's accumulation window buys nothing — each shard's share
+    /// of the frame goes straight through
+    /// [`SharedLedger::append_batch`], which prepares it (admission +
+    /// digests) off the write lock, across the compute pool when one is
+    /// configured.
+    ///
+    /// The frame's requests scatter to their shards preserving per-shard
+    /// arrival order (which fixes each shard's jsn assignment) and the
+    /// acks gather back into request order with packed global jsns; on
+    /// K=1 the scatter is the identity. A shard whose sub-batch fails as
+    /// a whole reports that error on exactly its own items — the other
+    /// shards' acks are already durable and stand. Only when nothing in
+    /// the frame committed is the answer one whole-frame error.
     fn handle_append_batch(&self, requests: Vec<TxRequest>) -> Response {
-        let proxy = self.admission == Admission::ProxyTrusted;
-        let admission = if proxy {
-            &self.metrics.admission_proxy
-        } else {
-            &self.metrics.admission_verify
-        };
-        admission.add(requests.len() as u64);
+        match self.admission {
+            Admission::Verify => &self.metrics.admission_verify,
+            Admission::ProxyTrusted => &self.metrics.admission_proxy,
+        }
+        .add(requests.len() as u64);
         // A pre-batched frame skips the group committer, so its "queue
         // wait" is just this dispatch prologue — recorded anyway so the
         // AppendBatch span tree has the same stage skeleton as the
         // committer path and the ordering assertion (queue before lock)
         // holds for both.
-        let queue_wait = StageSpan::begin("batch_queue_wait");
-        drop(queue_wait);
-        if self.k() > 1 {
-            return self.handle_append_batch_sharded(requests, proxy);
-        }
-        let results = match (&self.pool, proxy) {
-            (Some(pool), false) => self.shared.append_batch_pipelined(requests, pool),
-            (Some(pool), true) => self.shared.append_batch_preverified_pipelined(requests, pool),
-            (None, false) => self.shared.append_batch(requests),
-            (None, true) => self.shared.append_batch_preverified(requests),
-        };
-        let results = match results {
-            Ok(results) => results,
-            Err(e) => return Response::Error(ErrorFrame::from_ledger_error(&e)),
-        };
-        // Same sticky-durability discipline as single appends: an
-        // auto-seal WAL failure surfaces on the request that triggered
-        // it.
-        if let Some(e) = self.shared.take_durability_error() {
-            return Response::Error(ErrorFrame::from_ledger_error(&e));
-        }
-        Response::AppendBatchResult(
-            results
-                .into_iter()
-                .map(|result| {
-                    result
-                        .map(|ack| AppendedAck { jsn: ack.jsn, tx_hash: ack.tx_hash })
-                        .map_err(|e| ErrorFrame::from_ledger_error(&e))
-                })
-                .collect(),
-        )
-    }
-
-    /// The K>1 batch path: scatter the frame's requests to their shards
-    /// (preserving per-shard arrival order, which fixes each shard's jsn
-    /// assignment), run each shard's sub-batch through the same pipelined
-    /// entry points, and gather the acks back into request order with
-    /// packed global jsns. Positionality is preserved exactly as on K=1.
-    fn handle_append_batch_sharded(&self, requests: Vec<TxRequest>, proxy: bool) -> Response {
-        let n = requests.len();
+        drop(StageSpan::begin("batch_queue_wait"));
         let mut by_shard: Vec<Vec<TxRequest>> = (0..self.k()).map(|_| Vec::new()).collect();
-        let mut origin: Vec<(usize, usize)> = Vec::with_capacity(n);
+        let mut origin: Vec<(usize, usize)> = Vec::with_capacity(requests.len());
         for tx in requests {
             let shard_id = self.sharded.route(&tx);
             origin.push((shard_id, by_shard[shard_id].len()));
             by_shard[shard_id].push(tx);
         }
         let mut per_shard: Vec<Vec<Result<AppendedAck, ErrorFrame>>> = Vec::with_capacity(self.k());
+        let mut first_failure = None;
+        let mut any_committed = false;
         for (shard_id, batch) in by_shard.into_iter().enumerate() {
             if batch.is_empty() {
                 per_shard.push(Vec::new());
@@ -406,106 +374,99 @@ impl RequestService {
             }
             let _tag = self.shard_span(shard_id);
             let shard = self.sharded.shard(shard_id);
-            let results = match (&self.pool, proxy) {
-                (Some(pool), false) => shard.append_batch_pipelined(batch, pool),
-                (Some(pool), true) => shard.append_batch_preverified_pipelined(batch, pool),
-                (None, false) => shard.append_batch(batch),
-                (None, true) => shard.append_batch_preverified(batch),
+            let routed = batch.len();
+            let results = shard.append_batch(batch, self.admission, self.pool.as_deref());
+            // Same sticky-durability discipline as single appends: an
+            // auto-seal WAL failure surfaces on the request that
+            // triggered it.
+            let results = match shard.take_durability_error() {
+                Some(e) => Err(e),
+                None => results,
             };
-            let results = match results {
-                Ok(results) => results,
-                Err(e) => return Response::Error(ErrorFrame::from_ledger_error(&e)),
-            };
-            if let Some(e) = shard.take_durability_error() {
-                return Response::Error(ErrorFrame::from_ledger_error(&e));
-            }
-            per_shard.push(
-                results
-                    .into_iter()
-                    .map(|result| {
-                        result
-                            .map(|ack| AppendedAck {
+            per_shard.push(match results {
+                Ok(results) => {
+                    any_committed = true;
+                    results
+                        .into_iter()
+                        .map(|result| match result {
+                            Ok(ack) => Ok(AppendedAck {
                                 jsn: self.sharded.pack(shard_id, ack.jsn),
                                 tx_hash: ack.tx_hash,
-                            })
-                            .map_err(|e| ErrorFrame::from_ledger_error(&e))
-                    })
-                    .collect(),
-            );
-        }
-        Response::AppendBatchResult(
-            origin
-                .into_iter()
-                .map(|(shard_id, slot)| per_shard[shard_id][slot].clone())
-                .collect(),
-        )
-    }
-
-    /// Batch existence proofs. Snapshot and lock resolution are
-    /// *hoisted* out of the per-item closure (see
-    /// [`SharedLedger::prove_existence_batch`]): a batch fully covered
-    /// by the published [`ReadSnapshot`](ledgerdb_core::ReadSnapshot)
-    /// is served lock-free — fanned out across the compute pool when
-    /// one is configured — and anything else proves under a *single*
-    /// read-lock acquisition instead of one per item.
-    fn handle_proof_batch(&self, jsns: Vec<u64>, anchor: TrustedAnchor) -> Response {
-        let pool = self.pool.as_deref();
-        let item = |result: Result<(ledgerdb_crypto::digest::Digest, _), _>| {
-            result
-                .map(|(tx_hash, proof)| ProofItem { tx_hash, proof })
-                .map_err(|e| ErrorFrame::from_ledger_error(&e))
-        };
-        if self.k() > 1 {
-            // A batch may mix shards (the caller's anchor can only
-            // match one — mismatches fail per item, positionally, like
-            // any stale-anchor proof). Unpack once, group the locals
-            // per shard, prove each shard's sub-batch with hoisted
-            // resolution, and scatter results back into request order.
-            let mut by_shard: Vec<Vec<u64>> = (0..self.k()).map(|_| Vec::new()).collect();
-            let mut origin: Vec<Result<(usize, usize), ErrorFrame>> =
-                Vec::with_capacity(jsns.len());
-            for &jsn in &jsns {
-                match self.sharded.unpack(jsn) {
-                    Ok((shard, local)) => {
-                        origin.push(Ok((shard, by_shard[shard].len())));
-                        by_shard[shard].push(local);
-                    }
-                    Err(e) => origin.push(Err(ErrorFrame::from_ledger_error(&e))),
-                }
-            }
-            let mut per_shard: Vec<Vec<Option<_>>> = by_shard
-                .iter()
-                .enumerate()
-                .map(|(shard_id, locals)| {
-                    if locals.is_empty() {
-                        return Vec::new();
-                    }
-                    let _tag = self.shard_span(shard_id);
-                    self.sharded
-                        .shard(shard_id)
-                        .prove_existence_batch(locals, &anchor, pool)
-                        .into_iter()
-                        .map(Some)
+                            }),
+                            Err(e) => Err(ErrorFrame::from_ledger_error(&e)),
+                        })
                         .collect()
-                })
-                .collect();
-            return Response::ProofBatch(
+                }
+                Err(e) => {
+                    let frame = ErrorFrame::from_ledger_error(&e);
+                    first_failure.get_or_insert_with(|| frame.clone());
+                    vec![Err(frame); routed]
+                }
+            });
+        }
+        match first_failure {
+            Some(frame) if !any_committed => Response::Error(frame),
+            _ => Response::AppendBatchResult(
                 origin
                     .into_iter()
-                    .map(|slot| match slot {
-                        Ok((shard, idx)) => {
-                            item(per_shard[shard][idx].take().expect("each slot consumed once"))
-                        }
-                        Err(e) => Err(e),
-                    })
+                    .map(|(shard_id, slot)| per_shard[shard_id][slot].clone())
                     .collect(),
-            );
+            ),
         }
+    }
+
+    /// Batch existence proofs. A batch may mix shards (the caller's
+    /// anchor can only match one — mismatches fail per item,
+    /// positionally, like any stale-anchor proof): unpack once, group
+    /// the locals per shard, prove each shard's sub-batch, and scatter
+    /// the results back into request order. On K=1 the grouping is the
+    /// identity. Snapshot and lock resolution are *hoisted* out of the
+    /// per-item closure (see [`SharedLedger::prove_existence_batch`]): a
+    /// sub-batch fully covered by the published
+    /// [`ReadSnapshot`](ledgerdb_core::ReadSnapshot) is served
+    /// lock-free — fanned out across the compute pool when one is
+    /// configured — and anything else proves under a *single* read-lock
+    /// acquisition instead of one per item.
+    fn handle_proof_batch(&self, jsns: Vec<u64>, anchor: TrustedAnchor) -> Response {
+        let pool = self.pool.as_deref();
+        let mut by_shard: Vec<Vec<u64>> = (0..self.k()).map(|_| Vec::new()).collect();
+        let mut origin: Vec<Result<(usize, usize), ErrorFrame>> = Vec::with_capacity(jsns.len());
+        for &jsn in &jsns {
+            match self.sharded.unpack(jsn) {
+                Ok((shard, local)) => {
+                    origin.push(Ok((shard, by_shard[shard].len())));
+                    by_shard[shard].push(local);
+                }
+                Err(e) => origin.push(Err(ErrorFrame::from_ledger_error(&e))),
+            }
+        }
+        let mut per_shard: Vec<Vec<Option<_>>> = by_shard
+            .iter()
+            .enumerate()
+            .map(|(shard_id, locals)| {
+                if locals.is_empty() {
+                    return Vec::new();
+                }
+                let _tag = self.shard_span(shard_id);
+                self.sharded
+                    .shard(shard_id)
+                    .prove_existence_batch(locals, &anchor, pool)
+                    .into_iter()
+                    .map(Some)
+                    .collect()
+            })
+            .collect();
         Response::ProofBatch(
-            self.shared
-                .prove_existence_batch(&jsns, &anchor, pool)
+            origin
                 .into_iter()
-                .map(item)
+                .map(|slot| {
+                    let (shard, idx) = slot?;
+                    per_shard[shard][idx]
+                        .take()
+                        .expect("each slot consumed once")
+                        .map(|(tx_hash, proof)| ProofItem { tx_hash, proof })
+                        .map_err(|e| ErrorFrame::from_ledger_error(&e))
+                })
                 .collect(),
         )
     }
@@ -520,39 +481,9 @@ impl RequestService {
         let shard_id = self.sharded.route(&tx);
         let _tag = self.shard_span(shard_id);
         let shard = self.sharded.shard(shard_id);
-        let response = match &self.committers[shard_id] {
-            Some(committer) => match committer.submit(tx, committed) {
-                Ok(CommitOutcome::Appended { jsn, tx_hash }) => {
-                    Response::Appended { jsn: self.sharded.pack(shard_id, jsn), tx_hash }
-                }
-                Ok(CommitOutcome::Committed(receipt)) => Response::Committed(receipt),
-                Err(frame) => Response::Error(frame),
-            },
-            None => {
-                let proxy = self.admission == Admission::ProxyTrusted;
-                let pack = |ack: ledgerdb_core::AppendAck| Response::Appended {
-                    jsn: self.sharded.pack(shard_id, ack.jsn),
-                    tx_hash: ack.tx_hash,
-                };
-                match (committed, proxy) {
-                    (true, false) => match shard.append_committed(tx) {
-                        Ok(receipt) => Response::Committed(receipt),
-                        Err(e) => Response::Error(ErrorFrame::from_ledger_error(&e)),
-                    },
-                    (true, true) => match shard.append_committed_preverified(tx) {
-                        Ok(receipt) => Response::Committed(receipt),
-                        Err(e) => Response::Error(ErrorFrame::from_ledger_error(&e)),
-                    },
-                    (false, false) => match shard.append(tx) {
-                        Ok(ack) => pack(ack),
-                        Err(e) => Response::Error(ErrorFrame::from_ledger_error(&e)),
-                    },
-                    (false, true) => match shard.append_preverified(tx) {
-                        Ok(ack) => pack(ack),
-                        Err(e) => Response::Error(ErrorFrame::from_ledger_error(&e)),
-                    },
-                }
-            }
+        let outcome = match &self.committers[shard_id] {
+            Some(committer) => committer.submit(tx, committed),
+            None => commit_inline(shard, tx, committed, self.admission),
         };
         // Surface a stashed auto-seal durability failure on the request
         // that caused it: the append's payload is durable, but a block
@@ -562,7 +493,13 @@ impl RequestService {
         if let Some(e) = shard.take_durability_error() {
             return Response::Error(ErrorFrame::from_ledger_error(&e));
         }
-        response
+        match outcome {
+            Ok(CommitOutcome::Appended { jsn, tx_hash }) => {
+                Response::Appended { jsn: self.sharded.pack(shard_id, jsn), tx_hash }
+            }
+            Ok(CommitOutcome::Committed(receipt)) => Response::Committed(receipt),
+            Err(frame) => Response::Error(frame),
+        }
     }
 
     /// The typed refusal written to a connection over the cap, on either

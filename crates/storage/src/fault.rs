@@ -121,13 +121,10 @@ impl FaultStore {
     fn io_err(msg: &'static str) -> StorageError {
         StorageError::Io(std::io::Error::new(std::io::ErrorKind::Other, msg))
     }
+}
 
-    fn append_with_digest(
-        &self,
-        digest: Digest,
-        erased: bool,
-        payload: &[u8],
-    ) -> Result<u64, StorageError> {
+impl StreamStore for FaultStore {
+    fn append(&self, payload: &[u8]) -> Result<u64, StorageError> {
         let n = {
             let mut c = self.counters.lock();
             c.appends += 1;
@@ -141,7 +138,7 @@ impl FaultStore {
                     return Err(Self::io_err("injected append I/O error"));
                 }
                 Fault::PartialAppend { nth, keep } if nth == n => {
-                    let record = encode_record(&digest, erased, payload);
+                    let record = encode_record(&sha256(payload), false, payload);
                     let keep = (keep as usize).min(record.len().saturating_sub(1));
                     self.inner.raw_append(&record[..keep])?;
                     self.record_fired(FaultEvent { fault: *f, record: next_record });
@@ -150,11 +147,7 @@ impl FaultStore {
                 _ => {}
             }
         }
-        let index = if erased {
-            self.inner.append_erased(digest)?
-        } else {
-            self.inner.append(payload)?
-        };
+        let index = self.inner.append(payload)?;
         for f in &self.faults {
             if let Fault::BitFlip { record, byte, mask } = *f {
                 if record == index {
@@ -164,16 +157,6 @@ impl FaultStore {
             }
         }
         Ok(index)
-    }
-}
-
-impl StreamStore for FaultStore {
-    fn append(&self, payload: &[u8]) -> Result<u64, StorageError> {
-        self.append_with_digest(sha256(payload), false, payload)
-    }
-
-    fn append_erased(&self, digest: Digest) -> Result<u64, StorageError> {
-        self.append_with_digest(digest, true, &[])
     }
 
     fn read(&self, index: u64) -> Result<Vec<u8>, StorageError> {

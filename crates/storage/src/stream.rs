@@ -46,10 +46,6 @@ pub trait StreamStore: Send + Sync {
     /// Append a payload; returns its slot index.
     fn append(&self, payload: &[u8]) -> Result<u64, StorageError>;
 
-    /// Append an already-erased slot carrying only a digest tombstone —
-    /// used when restoring a snapshot whose payload was purged/occulted.
-    fn append_erased(&self, digest: Digest) -> Result<u64, StorageError>;
-
     /// Read the payload at `index` (fails if erased).
     fn read(&self, index: u64) -> Result<Vec<u8>, StorageError>;
 
@@ -149,13 +145,6 @@ impl StreamStore for MemoryStreamStore {
         let mut slots = self.slots.write();
         let index = slots.len() as u64;
         slots.push(Slot::Live { payload: payload.to_vec(), digest: sha256(payload) });
-        Ok(index)
-    }
-
-    fn append_erased(&self, digest: Digest) -> Result<u64, StorageError> {
-        let mut slots = self.slots.write();
-        let index = slots.len() as u64;
-        slots.push(Slot::Erased { digest });
         Ok(index)
     }
 
@@ -468,16 +457,12 @@ impl FileStreamStore {
         Ok(())
     }
 
-    fn append_record(
-        &self,
-        digest: Digest,
-        erased: bool,
-        payload: &[u8],
-    ) -> Result<u64, StorageError> {
+    fn append_record(&self, payload: &[u8]) -> Result<u64, StorageError> {
         if payload.len() as u64 > u32::MAX as u64 {
             return Err(StorageError::Corrupt("payload exceeds record size limit"));
         }
-        let record = encode_record(&digest, erased, payload);
+        let digest = sha256(payload);
+        let record = encode_record(&digest, false, payload);
         let mut inner = self.inner.write();
         let off = inner.end;
         inner.file.seek(SeekFrom::Start(off))?;
@@ -495,7 +480,7 @@ impl FileStreamStore {
             inner.since_sync = 0;
         }
         let mut meta = self.meta.write();
-        meta.push(RecordMeta { off, len: payload.len() as u32, erased, digest });
+        meta.push(RecordMeta { off, len: payload.len() as u32, erased: false, digest });
         Ok(meta.len() as u64 - 1)
     }
 
@@ -527,11 +512,7 @@ impl FileStreamStore {
 
 impl StreamStore for FileStreamStore {
     fn append(&self, payload: &[u8]) -> Result<u64, StorageError> {
-        self.append_record(sha256(payload), false, payload)
-    }
-
-    fn append_erased(&self, digest: Digest) -> Result<u64, StorageError> {
-        self.append_record(digest, true, &[])
+        self.append_record(payload)
     }
 
     fn read(&self, index: u64) -> Result<Vec<u8>, StorageError> {

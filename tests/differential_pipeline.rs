@@ -1,21 +1,53 @@
-//! Differential determinism suite for the CPU-parallel append/proof
-//! pipeline: the pooled and serial paths must be **byte-identical** —
-//! same block hashes, same roots, same receipts, same wire-encoded
-//! proofs — across randomized batch schedules that interleave appends,
-//! seals, occults, and a purge. Plus ledger-level pool torture: a
-//! panicking pool task must neither wedge the pool nor poison the
-//! ledger, and surfaces as a typed per-item error.
+//! Differential determinism suite for the append path.
+//!
+//! Every batched append enters through one function,
+//! `SharedLedger::append_batch(requests, admission, pool)`. This suite
+//! pins what that entry must keep producing: for seeded schedules that
+//! interleave batches, seals, occults and a purge, the fingerprint —
+//! roots, the wire-encoded block chain, receipts, existence proofs —
+//! equals a constant **recorded at the parent commit** (ece0059, the
+//! last tree that still had the serial in-lock `append_batch` and the
+//! `_pipelined` / `_preverified` variants; there, serial and pooled
+//! replays produced these same bytes). It must hold for every
+//! `pool ∈ {none, 1 worker, 4 workers}` × `Admission ∈ {Verify,
+//! ProxyTrusted}`, and for a plain `LedgerDb::append` + seal loop that
+//! shares none of the batched code — the retained independent
+//! reference.
+//!
+//! Plus the rejection contract (unknown member and bad π_c are
+//! positional per-item errors) and pool torture: a panicking pool task
+//! must neither wedge the pool nor poison the ledger, and surfaces as a
+//! typed per-item error.
 
 use ledgerdb::core::{
-    LedgerConfig, LedgerDb, LedgerError, MemberRegistry, OccultMode, SharedLedger, TxRequest,
+    Admission, LedgerConfig, LedgerDb, LedgerError, MemberRegistry, OccultMode, SharedLedger,
+    TxRequest,
 };
 use ledgerdb::crypto::ca::{CertificateAuthority, Role};
 use ledgerdb::crypto::keys::KeyPair;
 use ledgerdb::crypto::multisig::MultiSignature;
+use ledgerdb::crypto::sha256::sha256;
 use ledgerdb::crypto::wire::Wire;
 use ledgerdb::pool::Pool;
 use ledgerdb::telemetry::Registry;
 use std::sync::Arc;
+
+/// `(schedule seed, block size, sha256 of the fingerprint)` — produced
+/// by the parent commit's serial `append_batch` replay (and asserted
+/// equal to its pooled replay there).
+const PINNED: [(u64, u64, &str); 7] = [
+    (3, 4, "15280b1c1a74b101eb3e0ca560577ef99539116ddf29a17a22a14e8c18589c1b"),
+    (3, 16, "a476984bcead5cf1e4e8390e22332599107d7308d244e9246cea738577b811b9"),
+    (17, 4, "952e86958c289cfebc9d1479bba859f4a53449f5dd381b23cc1b34d36da425fb"),
+    (17, 16, "3d8f5a0e3019f81e8ffd7ed33af7499a9bc76cd138c6bb658c85570d473ddfc9"),
+    (101, 4, "e4c26cbf132a372e2bee895951b14084261d866b51d70fc4b95712cbc6ac5b9f"),
+    (101, 16, "67bc9a405802a29883dac14a9212951153be87c8c1886a93d0314f1991d20437"),
+    (77, 8, "9a5d31b4101de669411e16350ee2d6c94d9310e3c55c3231edf51ba21b28d75a"),
+];
+
+/// The panic-torture schedule (8 sealed rounds of 6, block size 8),
+/// likewise from the parent's serial replay.
+const PINNED_TORTURE: &str = "e748d4ae3205ed9d621684cb5014e40d6e6a3a4b2be25ca6ab750ecec1405ea3";
 
 struct World {
     shared: SharedLedger,
@@ -102,25 +134,40 @@ fn schedule(w: &World, seed: u64) -> Vec<Op> {
     ops
 }
 
-/// Replay `ops` against `w`, batched-appending through the pool when
-/// one is given and through the serial batched path otherwise.
-fn replay(w: &World, ops: &[Op], pool: Option<&Arc<Pool>>) {
-    w.shared.set_pool(pool.cloned());
+/// How a replay feeds a schedule's batches to the ledger.
+enum Feed<'a> {
+    /// The single batched entry.
+    Batched(Admission, Option<&'a Arc<Pool>>),
+    /// One `LedgerDb::append` per request under the write lock — no
+    /// prepare stage, no batch commit, no shared barrier.
+    Reference,
+}
+
+/// Replay `ops` against `w`.
+fn replay(w: &World, ops: &[Op], feed: &Feed<'_>) {
+    if let Feed::Batched(_, pool) = feed {
+        w.shared.set_pool(pool.cloned());
+    }
     let mut occulted = std::collections::HashSet::new();
     let mut purged_to = 0u64;
     for op in ops {
         match op {
-            Op::Batch(requests) => {
-                let results = match pool {
-                    Some(pool) => {
-                        w.shared.append_batch_pipelined(requests.clone(), pool).unwrap()
+            Op::Batch(requests) => match feed {
+                Feed::Batched(admission, pool) => {
+                    let results = w
+                        .shared
+                        .append_batch(requests.clone(), *admission, pool.map(|p| &**p))
+                        .unwrap();
+                    for r in results {
+                        r.unwrap();
                     }
-                    None => w.shared.append_batch(requests.clone()).unwrap(),
-                };
-                for r in results {
-                    r.unwrap();
                 }
-            }
+                Feed::Reference => w.shared.with_write(|l| {
+                    for request in requests {
+                        l.append(request.clone()).unwrap();
+                    }
+                }),
+            },
             Op::Seal => w.shared.try_seal_block().unwrap(),
             Op::Occult(mille) => {
                 let count = w.shared.journal_count();
@@ -189,47 +236,119 @@ fn fingerprint(w: &World) -> Vec<u8> {
     out
 }
 
+fn pin(w: &World) -> String {
+    sha256(&fingerprint(w)).0.iter().map(|b| format!("{b:02x}")).collect()
+}
+
 #[test]
-fn pooled_and_serial_schedules_are_byte_identical() {
-    for seed in [3u64, 17, 101] {
-        for block_size in [4u64, 16] {
-            let serial = world(block_size);
-            let pooled = world(block_size);
-            let ops = schedule(&serial, seed);
-            let pool = Pool::with_registry(3, &Registry::new());
-            replay(&serial, &ops, None);
-            replay(&pooled, &ops, Some(&pool));
-            assert_eq!(
-                serial.shared.journal_count(),
-                pooled.shared.journal_count(),
-                "journal counts diverged (seed {seed}, block_size {block_size})"
-            );
-            assert_eq!(
-                fingerprint(&serial),
-                fingerprint(&pooled),
-                "pooled replay diverged from serial (seed {seed}, block_size {block_size})"
-            );
+fn every_pool_and_admission_reproduces_the_parent_fingerprints() {
+    let pool_one = Pool::with_registry(1, &Registry::new());
+    let pool_many = Pool::with_registry(4, &Registry::new());
+    for (seed, block_size, pinned) in PINNED {
+        for admission in [Admission::Verify, Admission::ProxyTrusted] {
+            for pool in [None, Some(&pool_one), Some(&pool_many)] {
+                let w = world(block_size);
+                let ops = schedule(&w, seed);
+                replay(&w, &ops, &Feed::Batched(admission, pool));
+                assert_eq!(
+                    pin(&w),
+                    pinned,
+                    "seed {seed}, block_size {block_size}, {admission:?}, {} pool workers",
+                    pool.map_or(0, |p| p.workers()),
+                );
+            }
         }
     }
 }
 
 #[test]
-fn single_worker_pool_matches_many_worker_pool() {
-    // Worker count must never leak into results: 1-worker and 4-worker
-    // pools replay the same schedule to the same bytes.
-    let a = world(8);
-    let b = world(8);
-    let ops = schedule(&a, 77);
-    let pool_one = Pool::with_registry(1, &Registry::new());
-    let pool_many = Pool::with_registry(4, &Registry::new());
-    replay(&a, &ops, Some(&pool_one));
-    replay(&b, &ops, Some(&pool_many));
-    assert_eq!(fingerprint(&a), fingerprint(&b));
+fn plain_append_loop_reproduces_the_parent_fingerprints() {
+    // The independent reference: the same schedules through
+    // `LedgerDb::append`, which shares no code with the batched entry
+    // above `commit_journal`.
+    for (seed, block_size, pinned) in PINNED {
+        let w = world(block_size);
+        let ops = schedule(&w, seed);
+        replay(&w, &ops, &Feed::Reference);
+        assert_eq!(pin(&w), pinned, "seed {seed}, block_size {block_size}");
+    }
+}
+
+#[test]
+fn rejections_are_positional_under_both_admissions() {
+    let pool = Pool::with_registry(2, &Registry::new());
+    for admission in [Admission::Verify, Admission::ProxyTrusted] {
+        for pool in [None, Some(&*pool)] {
+            let w = world(16);
+            let mallory = KeyPair::from_seed(b"diff-mallory");
+            let tx = |keys: &KeyPair, i: u64| {
+                TxRequest::signed(keys, format!("p-{i}").into_bytes(), vec!["c".into()], i)
+            };
+            let mut tampered = tx(&w.alice, 2);
+            tampered.payload = b"tampered in flight".to_vec();
+            let batch = vec![tx(&w.alice, 0), tx(&mallory, 1), tampered, tx(&w.bob, 3)];
+            let results = w.shared.append_batch(batch, admission, pool).unwrap();
+            assert_eq!(results.len(), 4);
+            assert_eq!(results[0].as_ref().unwrap().jsn, 0);
+            // Membership is enforced whoever checked π_c.
+            assert!(matches!(results[1], Err(LedgerError::UnknownMember)), "{admission:?}");
+            match admission {
+                // The server checks π_c itself: the tampered request is
+                // refused in place and consumes no jsn.
+                Admission::Verify => {
+                    assert!(matches!(results[2], Err(LedgerError::BadClientSignature)));
+                    assert_eq!(results[3].as_ref().unwrap().jsn, 1);
+                }
+                // π_c is the proxy tier's job: the kernel does not look.
+                Admission::ProxyTrusted => {
+                    assert_eq!(results[2].as_ref().unwrap().jsn, 1);
+                    assert_eq!(results[3].as_ref().unwrap().jsn, 2);
+                }
+            }
+            let accepted = results.iter().filter(|r| r.is_ok()).count() as u64;
+            assert_eq!(w.shared.journal_count(), accepted, "rejections consumed no slot");
+        }
+    }
+}
+
+#[test]
+fn member_dropped_between_prepare_and_lock_is_rejected_in_place() {
+    // Off-lock admission reads the registry frozen into the last
+    // published snapshot; the live registry can change before the lock
+    // is taken. Dropping bob from the live registry without a publish
+    // reproduces exactly that window: prepare admits him, the locked
+    // membership re-check refuses him, and alice's items are unaffected.
+    let pool = Pool::with_registry(2, &Registry::new());
+    for admission in [Admission::Verify, Admission::ProxyTrusted] {
+        for pool in [None, Some(&*pool)] {
+            let w = world(16);
+            w.shared.with_write(|l| {
+                let ca = CertificateAuthority::from_seed(b"diff-ca");
+                let mut without_bob = MemberRegistry::new(*ca.public_key());
+                without_bob.register(ca.issue("alice", Role::User, w.alice.public())).unwrap();
+                *l.registry_mut() = without_bob;
+            });
+            assert!(
+                w.shared.verify_request(&TxRequest::signed(&w.bob, vec![1], vec![], 9)).is_ok(),
+                "the snapshot registry still admits bob off-lock"
+            );
+            let batch = vec![
+                TxRequest::signed(&w.alice, b"a0".to_vec(), vec![], 0),
+                TxRequest::signed(&w.bob, b"b1".to_vec(), vec![], 1),
+                TxRequest::signed(&w.alice, b"a2".to_vec(), vec![], 2),
+            ];
+            let results = w.shared.append_batch(batch, admission, pool).unwrap();
+            assert_eq!(results[0].as_ref().unwrap().jsn, 0);
+            assert!(matches!(results[1], Err(LedgerError::UnknownMember)), "{admission:?}");
+            assert_eq!(results[2].as_ref().unwrap().jsn, 1);
+            assert_eq!(w.shared.journal_count(), 2);
+        }
+    }
 }
 
 #[test]
 fn injected_task_failure_is_typed_and_does_not_poison_the_batch() {
-    // A pool-task panic reaches the prepared entry point as a per-item
+    // A pool-task panic reaches the kernel entry as a per-item
     // `LedgerError::TaskFailed`; siblings commit with dense jsns.
     let w = world(16);
     let good = |i: u64| {
@@ -261,12 +380,10 @@ fn injected_task_failure_is_typed_and_does_not_poison_the_batch() {
 #[test]
 fn panicking_pool_tasks_do_not_wedge_the_pool_or_the_ledger() {
     // Torture: hammer the SAME pool the ledger uses with panicking
-    // tasks between pipelined batches. Every batch must still commit,
-    // and the final ledger must match a serial twin byte-for-byte.
+    // tasks between batches. Every batch must still commit, and the
+    // final ledger must match the pinned bytes.
     let pooled = world(8);
-    let serial = world(8);
     let pool = Pool::with_registry(2, &Registry::new());
-    let mut all: Vec<Vec<TxRequest>> = Vec::new();
     for round in 0..8u64 {
         let batch: Vec<TxRequest> = (0..6u64)
             .map(|i| {
@@ -278,7 +395,6 @@ fn panicking_pool_tasks_do_not_wedge_the_pool_or_the_ledger() {
                 )
             })
             .collect();
-        all.push(batch.clone());
 
         // Panic storm on the shared pool.
         let stormed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -294,19 +410,12 @@ fn panicking_pool_tasks_do_not_wedge_the_pool_or_the_ledger() {
         }));
         assert!(stormed.is_err(), "scope must re-raise the task panic");
 
-        // The pool still pipelines the batch correctly.
-        let results = pooled.shared.append_batch_pipelined(batch, &pool).unwrap();
+        // The pool still prepares the batch correctly.
+        let results = pooled.shared.append_batch(batch, Admission::Verify, Some(&*pool)).unwrap();
         for r in results {
             r.unwrap();
         }
         pooled.shared.try_seal_block().unwrap();
     }
-    for batch in all {
-        let results = serial.shared.append_batch(batch).unwrap();
-        for r in results {
-            r.unwrap();
-        }
-        serial.shared.try_seal_block().unwrap();
-    }
-    assert_eq!(fingerprint(&pooled), fingerprint(&serial));
+    assert_eq!(pin(&pooled), PINNED_TORTURE);
 }

@@ -17,7 +17,7 @@
 //! pinned too, not just the append path.
 
 use ledgerdb::core::{
-    route_clue_str, LedgerConfig, LedgerDb, MemberRegistry, OccultMode, ShardedLedger,
+    route_clue_str, Admission, LedgerConfig, LedgerDb, MemberRegistry, OccultMode, ShardedLedger,
     SharedLedger, TxRequest,
 };
 use ledgerdb::crypto::ca::{CertificateAuthority, Role};
@@ -25,7 +25,9 @@ use ledgerdb::crypto::keys::KeyPair;
 use ledgerdb::crypto::multisig::MultiSignature;
 use ledgerdb::crypto::wire::Wire;
 use ledgerdb::server::protocol::{Request, Response};
-use ledgerdb::server::{RequestService, ServerConfig};
+use ledgerdb::server::{AppendedAck, ProofItem, RequestService, ServerConfig};
+use ledgerdb::storage::{Fault, FaultStore, FileStreamStore};
+use ledgerdb::timesvc::clock::SimClock;
 use ledgerdb::telemetry::Registry;
 
 struct Members {
@@ -151,7 +153,8 @@ fn k1_sharded_service_is_byte_identical_to_a_plain_ledger() {
     // Twin B: direct operations on a plain, identically seeded ledger.
     let direct = shard_ledger(8);
 
-    for tx in &txs {
+    let (singles, framed) = txs.split_at(24);
+    for tx in singles {
         let response = service.handle(Request::Append(tx.clone()));
         let ack = direct.append(tx.clone()).unwrap();
         match response {
@@ -162,6 +165,18 @@ fn k1_sharded_service_is_byte_identical_to_a_plain_ledger() {
             other => panic!("append must ack, got {other:?}"),
         }
     }
+    // A pre-batched frame runs the scatter/gather code with one shard:
+    // its acks must be the plain ledger's, position for position.
+    let acks = direct.append_batch(framed.to_vec(), Admission::Verify, None).unwrap();
+    let expected = Response::AppendBatchResult(
+        acks.into_iter()
+            .map(|ack| ack.map(|a| AppendedAck { jsn: a.jsn, tx_hash: a.tx_hash }).map_err(|e| {
+                ledgerdb::server::ErrorFrame::from_ledger_error(&e)
+            }))
+            .collect(),
+    );
+    let served = service.handle(Request::AppendBatch(framed.to_vec()));
+    assert_eq!(served.to_wire(), expected.to_wire(), "K=1 batch acks diverged");
     mutate(&service_ledger, &m);
     mutate(&direct, &m);
     service_ledger.seal_block();
@@ -190,6 +205,21 @@ fn k1_sharded_service_is_byte_identical_to_a_plain_ledger() {
         };
         assert_eq!(served, expected, "jsn {jsn}: K=1 proof bytes diverged");
     }
+    // The batched proof path groups by shard even at K=1: same bytes as
+    // the plain ledger's own batch, errors in place.
+    let jsns: Vec<u64> = (0..direct.journal_count() + 2).collect();
+    let served = service.handle(Request::GetProofBatch { jsns: jsns.clone(), anchor: anchor.clone() });
+    let expected = Response::ProofBatch(
+        direct
+            .prove_existence_batch(&jsns, &anchor, None)
+            .into_iter()
+            .map(|item| {
+                item.map(|(tx_hash, proof)| ProofItem { tx_hash, proof })
+                    .map_err(|e| ledgerdb::server::ErrorFrame::from_ledger_error(&e))
+            })
+            .collect(),
+    );
+    assert_eq!(served.to_wire(), expected.to_wire(), "K=1 proof batch diverged");
     for clue in (0..17).map(|c| format!("clue-{c}")) {
         let served = service.handle(Request::ListTx(clue.clone())).to_wire();
         let expected = Response::TxList(direct.list_tx(&clue)).to_wire();
@@ -267,4 +297,99 @@ fn k4_runs_are_deterministic_and_interleaving_independent() {
         run3.top_root(),
         "composed top root depends on inter-shard interleaving"
     );
+}
+
+fn fault_dir(tag: &str) -> std::path::PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("ledgerdb-shard-fault-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// A shard ledger whose payload stream fails its first write, once.
+fn faulty_shard(dir: &std::path::Path) -> SharedLedger {
+    let (registry, _) = members();
+    let store = FaultStore::new(
+        FileStreamStore::create(&dir.join("payload.log")).unwrap(),
+        vec![Fault::AppendIoError { nth: 1 }],
+    );
+    let config = LedgerConfig { block_size: 64, fam_delta: 6, name: "shard-diff".into(), state_backend: Default::default() };
+    SharedLedger::new(LedgerDb::with_parts(
+        config,
+        registry,
+        std::sync::Arc::new(store),
+        std::sync::Arc::new(SimClock::new()),
+    ))
+}
+
+#[test]
+fn a_failed_shard_reports_on_its_own_items_and_the_other_shards_acks_stand() {
+    // K=2, shard 1's payload stream fails its first write. A frame
+    // spanning both shards must ack shard 0's items (they are durable)
+    // and carry shard 1's failure on exactly shard 1's positions — a
+    // whole-frame error would make the client retry, and duplicate,
+    // shard 0's half.
+    let (_, m) = members();
+    let dir = fault_dir("spanning");
+    let deployment = ShardedLedger::new(vec![shard_ledger(64), faulty_shard(&dir)]).unwrap();
+    let service_config = ServerConfig {
+        registry: std::sync::Arc::new(Registry::new()),
+        ..ServerConfig::default()
+    };
+    let service = RequestService::start_sharded(deployment.clone(), &service_config);
+
+    let txs = schedule(&m, 9, 24);
+    let routes: Vec<usize> = txs.iter().map(|tx| deployment.route(tx)).collect();
+    let on_shard = |s: usize| routes.iter().filter(|&&r| r == s).count() as u64;
+    assert!(on_shard(0) > 0 && on_shard(1) > 0, "the frame spans both shards");
+
+    let results = match service.handle(Request::AppendBatch(txs.clone())) {
+        Response::AppendBatchResult(results) => results,
+        other => panic!("a partly committed frame must answer per item, got {other:?}"),
+    };
+    assert_eq!(results.len(), txs.len());
+    for (i, (result, &route)) in results.iter().zip(&routes).enumerate() {
+        match route {
+            0 => {
+                let ack = result.as_ref().unwrap_or_else(|e| panic!("item {i} on shard 0: {e}"));
+                assert_eq!(deployment.unpack(ack.jsn).unwrap().0, 0);
+            }
+            _ => assert!(result.is_err(), "item {i} on the failed shard was acked"),
+        }
+    }
+    assert_eq!(deployment.shard(0).journal_count(), on_shard(0));
+    assert_eq!(deployment.shard(1).journal_count(), 0);
+
+    // The client retries exactly the refused items: they commit, and
+    // shard 0 holds no duplicates.
+    let retry: Vec<TxRequest> =
+        txs.iter().zip(&results).filter(|(_, r)| r.is_err()).map(|(tx, _)| tx.clone()).collect();
+    match service.handle(Request::AppendBatch(retry)) {
+        Response::AppendBatchResult(results) => assert!(results.iter().all(|r| r.is_ok())),
+        other => panic!("retry must ack, got {other:?}"),
+    }
+    assert_eq!(deployment.shard(0).journal_count(), on_shard(0));
+    assert_eq!(deployment.shard(1).journal_count(), on_shard(1));
+    service.finish_drain(true);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_frame_that_commits_nothing_answers_with_one_error() {
+    // The whole-frame error a single-shard server has always given when
+    // its batch fails: nothing is durable, so nothing is positional.
+    let (_, m) = members();
+    let dir = fault_dir("single");
+    let only = faulty_shard(&dir);
+    let service_config = ServerConfig {
+        registry: std::sync::Arc::new(Registry::new()),
+        ..ServerConfig::default()
+    };
+    let service = RequestService::start(only.clone(), &service_config);
+    let response = service.handle(Request::AppendBatch(schedule(&m, 9, 8)));
+    assert!(matches!(response, Response::Error(_)), "got {response:?}");
+    assert_eq!(only.journal_count(), 0);
+    service.finish_drain(true);
+    std::fs::remove_dir_all(&dir).ok();
 }

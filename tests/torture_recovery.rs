@@ -4,8 +4,9 @@
 //! pre-crash commitments) or *reported* as a typed error. Never a panic,
 //! never silent data loss.
 //!
-//! Four distinct fault kinds are exercised directly, plus a seeded sweep
-//! that mixes all of them into randomized workloads.
+//! Four distinct fault kinds are exercised directly (a failed WAL append
+//! at both a journal and a seal record), plus a seeded sweep that mixes
+//! all of them into randomized workloads.
 
 use ledgerdb::core::recovery::{open_durable, recover, PAYLOAD_FILE, WAL_FILE};
 use ledgerdb::core::{LedgerConfig, LedgerDb, LedgerError, MemberRegistry, TxRequest};
@@ -272,6 +273,63 @@ fn wal_append_failure_rolls_back_payload() {
     .unwrap();
     assert!(report.is_clean(), "rollback left matching streams: {report:?}");
     assert_eq!(recovered.journal_count(), 4);
+    assert_eq!(roots(&recovered), live);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Fault 6 — the WAL write of a *seal record* fails inside
+/// `append_committed` (the path `Request::AppendCommitted` takes on a
+/// server). The caller gets a typed error while holding no receipt —
+/// never a panic under the write lock — the journal stays pending, and
+/// retrying the seal succeeds.
+#[test]
+fn seal_wal_failure_in_append_committed_is_typed_and_retryable() {
+    use ledgerdb::core::SharedLedger;
+    let dir = temp_dir("seal-ioerr");
+    let (registry, m) = members();
+    std::fs::create_dir_all(&dir).unwrap();
+    let payload: Arc<dyn StreamStore> = Arc::new(
+        FileStreamStore::create_with(&dir.join(PAYLOAD_FILE), FsyncPolicy::Always).unwrap(),
+    );
+    // WAL append #1 is the journal record, #2 the seal record.
+    let wal = Arc::new(FaultStore::new(
+        FileStreamStore::create_with(&dir.join(WAL_FILE), FsyncPolicy::Always).unwrap(),
+        vec![Fault::AppendIoError { nth: 2 }],
+    ));
+    let fired = Arc::clone(&wal);
+    let (ledger, _) =
+        recover(config(64), registry.clone(), payload, wal, Arc::new(SimClock::new())).unwrap();
+    let shared = SharedLedger::new(ledger);
+
+    match shared.append_committed(tx(&m.alice, 0)) {
+        Err(LedgerError::Storage(_)) => {}
+        Err(e) => panic!("expected the injected storage error, got: {e}"),
+        Ok(_) => panic!("a receipt was issued for a block whose seal never reached the WAL"),
+    }
+    assert_eq!(fired.fired().len(), 1, "the seal record's WAL write is what failed");
+    assert_eq!(shared.journal_count(), 1, "the append itself committed");
+    assert_eq!(shared.block_count(), 0);
+    assert_eq!(shared.with_read(|l| l.pending_journals()), 1, "journal still pending");
+    assert!(shared.take_durability_error().is_none(), "reported, not stashed");
+    assert!(shared.receipt(0).unwrap().is_none());
+
+    // The seal is retryable, and the ledger keeps working.
+    shared.try_seal_block().unwrap();
+    assert!(shared.receipt(0).unwrap().unwrap().verify());
+    assert!(shared.append_committed(tx(&m.alice, 1)).unwrap().verify());
+    let live = shared.with_read(roots);
+    drop(shared);
+
+    let (recovered, report) = open_durable(
+        config(64),
+        registry,
+        &dir,
+        FsyncPolicy::Always,
+        Arc::new(SimClock::new()),
+    )
+    .unwrap();
+    assert!(report.is_clean(), "failed seal left matching streams: {report:?}");
+    assert_eq!(recovered.block_count(), 2);
     assert_eq!(roots(&recovered), live);
     std::fs::remove_dir_all(&dir).ok();
 }
