@@ -9,12 +9,10 @@
 //! replays O(tail) WAL records instead of O(history).
 //!
 //! ```text
-//! prof_recovery [--checkpoint-ab] [--json PATH]
+//! prof_recovery [--checkpoint-ab]
 //! ```
 //!
-//! `--checkpoint-ab` runs only the gating A/B (verify.sh's stage);
-//! `--json PATH` additionally writes the A/B cells as a JSON record
-//! (the `results/BENCH_recovery.json` convention).
+//! `--checkpoint-ab` runs only the gating A/B (verify.sh's stage).
 
 use ledgerdb_bench::{banner, fmt_latency, fmt_tps, row, throughput, timed, XorShift};
 use ledgerdb_core::recovery::{open_durable, CHECKPOINT_DIR};
@@ -66,9 +64,9 @@ fn build(dir: &PathBuf, n: u64, policy: FsyncPolicy) {
 
 /// The gating A/B: one history reopened twice — once from the raw WAL
 /// (O(history) replay), once from a committed checkpoint plus an
-/// unsealed tail (O(tail) replay). Asserts the bound; returns the two
-/// cells for the optional JSON record.
-fn checkpoint_ab(n: u64, tail: u64) -> String {
+/// unsealed tail (O(tail) replay). Asserts the bound and prints both
+/// cells.
+fn checkpoint_ab(n: u64, tail: u64) {
     banner(&format!("Checkpointed restart A/B (history {n}, tail {tail})"));
     let (registry, alice) = registry();
 
@@ -166,49 +164,21 @@ fn checkpoint_ab(n: u64, tail: u64) -> String {
         report_a.journals_replayed.max(1) / report_b.journals_replayed.max(1),
         secs_a / secs_b.max(1e-9),
     );
-
-    let epoch = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    format!(
-        "{{\n  \"bench\": \"checkpointed_restart\",\n  \"recorded_epoch\": {epoch},\n  \
-         \"command\": \"prof_recovery --checkpoint-ab\",\n  \"history_journals\": {n},\n  \
-         \"tail_journals\": {tail},\n  \"cells\": [\n    {{ \"mode\": \"wal-only\", \
-         \"journals_replayed\": {}, \"restart_s\": {:.6} }},\n    {{ \"mode\": \"checkpointed\", \
-         \"journals_replayed\": {}, \"restart_s\": {:.6} }}\n  ]\n}}\n",
-        report_a.journals_replayed, secs_a, report_b.journals_replayed, secs_b,
-    )
 }
 
 fn main() {
     let mut ab_only = false;
-    let mut json_path: Option<PathBuf> = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
+    for flag in std::env::args().skip(1) {
         match flag.as_str() {
             "--checkpoint-ab" => ab_only = true,
-            "--json" => {
-                json_path = Some(PathBuf::from(it.next().unwrap_or_else(|| {
-                    eprintln!("--json needs a path");
-                    std::process::exit(2);
-                })))
-            }
             _ => {
-                eprintln!("usage: prof_recovery [--checkpoint-ab] [--json PATH]");
+                eprintln!("usage: prof_recovery [--checkpoint-ab]");
                 std::process::exit(2);
             }
         }
     }
     if ab_only {
-        let json = checkpoint_ab(1 << 13, 256);
-        if let Some(path) = json_path {
-            if let Some(parent) = path.parent() {
-                std::fs::create_dir_all(parent).ok();
-            }
-            std::fs::write(&path, json).expect("write A/B record");
-            println!("prof_recovery: wrote {}", path.display());
-        }
+        checkpoint_ab(1 << 13, 256);
         return;
     }
 
@@ -267,12 +237,5 @@ fn main() {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    let json = checkpoint_ab(1 << 13, 256);
-    if let Some(path) = json_path {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent).ok();
-        }
-        std::fs::write(&path, json).expect("write A/B record");
-        println!("prof_recovery: wrote {}", path.display());
-    }
+    checkpoint_ab(1 << 13, 256);
 }

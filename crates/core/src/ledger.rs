@@ -1338,8 +1338,8 @@ impl LedgerDb {
     /// statement, proven against the current state root.
     pub fn prove_state(&self, clue: &str) -> StateProof {
         let proof = self.world_state.prove_kv(ledgerdb_clue::clue_key(clue).as_bytes());
-        let (proof_bytes, _) = self.metrics.state_proof(self.state_backend());
-        proof_bytes.observe(proof.to_wire().len() as u64);
+        self.metrics.state_proof_bytes[self.state_backend() as usize]
+            .observe(proof.to_wire().len() as u64);
         proof
     }
 
@@ -1356,22 +1356,6 @@ impl LedgerDb {
         proof: &'a StateProof,
     ) -> Result<Option<&'a [u8]>, LedgerError> {
         crate::state::verify_state_proof(state_root, proof)
-    }
-
-    /// As [`LedgerDb::verify_state`], but records the verification
-    /// latency in `ledger_verify_seconds{backend="…"}` under the label
-    /// of the backend that built the proof (not necessarily this
-    /// ledger's own backend).
-    pub fn verify_state_timed<'a>(
-        &self,
-        state_root: &Digest,
-        proof: &'a StateProof,
-    ) -> Result<Option<&'a [u8]>, LedgerError> {
-        let start = std::time::Instant::now();
-        let result = Self::verify_state(state_root, proof);
-        let (_, verify_seconds) = self.metrics.state_proof(proof.backend());
-        verify_seconds.observe_duration(start.elapsed());
-        result
     }
 
     /// Produce a clue proof restricted to lineage versions `[lo, hi)`
@@ -1772,9 +1756,7 @@ pub(crate) mod tests {
         let mut f = fixture(4);
         f.ledger.bind_metrics(&registry);
         f.ledger.append(tx(&f.alice, b"v1", &["acct"], 0)).unwrap();
-        let state_root = f.ledger.state_root();
-        let proof = f.ledger.prove_state("acct");
-        f.ledger.verify_state_timed(&state_root, &proof).unwrap();
+        let _ = f.ledger.prove_state("acct");
 
         let text = ledgerdb_telemetry::render(&registry);
         let label = f.ledger.state_backend();
@@ -1783,11 +1765,6 @@ pub(crate) mod tests {
             &format!("ledger_proof_bytes_count{{backend=\"{label}\"}}"),
         );
         assert_eq!(bytes, Some(1.0), "proof size observed under the backend label");
-        let verifies = ledgerdb_telemetry::parse_value(
-            &text,
-            &format!("ledger_verify_seconds_count{{backend=\"{label}\"}}"),
-        );
-        assert_eq!(verifies, Some(1.0), "verify latency observed under the backend label");
         let size = ledgerdb_telemetry::parse_value(
             &text,
             &format!("ledger_proof_bytes_max{{backend=\"{label}\"}}"),

@@ -61,21 +61,13 @@ pub struct CoreMetrics {
     /// last snapshot-served read (0 right after a publish).
     pub snapshot_age_ms: Arc<Gauge>,
     /// `ledger_proof_bytes{backend="…"}` — wire-encoded size of each
-    /// state proof, labeled by the commitment backend that built it,
-    /// and `ledger_verify_seconds{backend="…"}` — state-proof
-    /// verification latency per backend. Indexed by
-    /// [`StateBackend`] discriminant so an A/B sweep reads both series
-    /// from one scrape.
+    /// state proof, labeled by the commitment backend that built it.
+    /// Indexed by [`StateBackend`] discriminant.
     pub state_proof_bytes: [Arc<Histogram>; 2],
-    pub state_verify_seconds: [Arc<Histogram>; 2],
 }
 
 impl CoreMetrics {
     pub fn bind(registry: &Registry) -> Self {
-        let per_backend = |base: &str, unit: Unit| -> [Arc<Histogram>; 2] {
-            [StateBackend::Mpt, StateBackend::Bin]
-                .map(|b| registry.histogram(&format!("{base}{{backend=\"{b}\"}}"), unit))
-        };
         CoreMetrics {
             appends: registry.counter("ledger_appends_total"),
             append_seconds: registry.histogram("ledger_append_seconds", Unit::Seconds),
@@ -98,16 +90,10 @@ impl CoreMetrics {
             snapshot_hits: registry.counter("ledger_snapshot_hit_total"),
             snapshot_fallbacks: registry.counter("ledger_snapshot_fallback_total"),
             snapshot_age_ms: registry.gauge("ledger_snapshot_age_ms"),
-            state_proof_bytes: per_backend("ledger_proof_bytes", Unit::Bytes),
-            state_verify_seconds: per_backend("ledger_verify_seconds", Unit::Seconds),
+            state_proof_bytes: [StateBackend::Mpt, StateBackend::Bin].map(|b| {
+                registry.histogram(&format!("ledger_proof_bytes{{backend=\"{b}\"}}"), Unit::Bytes)
+            }),
         }
-    }
-
-    /// The `(proof_bytes, verify_seconds)` histogram pair for one state
-    /// backend's label.
-    pub fn state_proof(&self, backend: StateBackend) -> (&Arc<Histogram>, &Arc<Histogram>) {
-        let i = backend as usize;
-        (&self.state_proof_bytes[i], &self.state_verify_seconds[i])
     }
 }
 

@@ -41,10 +41,9 @@ pub struct BatchConfig {
 
 impl Default for BatchConfig {
     fn default() -> Self {
-        // 150µs measured as the throughput knee on the reference box:
-        // wide enough to gather the concurrent burst that follows an
+        // Wide enough to gather the concurrent burst that follows an
         // ack, narrow enough that a lone append is not stalled
-        // noticeably (see BENCH_server.json).
+        // noticeably.
         BatchConfig { max_batch: 64, max_delay: Duration::from_micros(150) }
     }
 }

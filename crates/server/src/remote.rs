@@ -929,39 +929,49 @@ mod tests {
 
     #[test]
     fn sharded_server_composed_proofs_verify_end_to_end() {
-        let (sharded, alice) = crate::testutil::sharded(4, 1);
-        let server = Ledgerd::start_sharded(sharded, ServerConfig::default()).unwrap();
-        let mut remote = RemoteLedger::connect_with(server.local_addr(), fast_config()).unwrap();
+        for k in [1usize, 2, 4] {
+            let (sharded, alice) = crate::testutil::sharded(k, 1);
+            let server = Ledgerd::start_sharded(sharded, ServerConfig::default()).unwrap();
+            let mut remote =
+                RemoteLedger::connect_with(server.local_addr(), fast_config()).unwrap();
 
-        assert_eq!(remote.topology().unwrap().shards, 4);
+            assert_eq!(remote.topology().unwrap().shards as usize, k);
 
-        // Clue-spread appends land on different shards; block_size 1
-        // seals each immediately, so every journal is anchorable.
-        let mut jsns = Vec::new();
-        for i in 0..12u64 {
-            let tx = TxRequest::signed(
-                &alice,
-                format!("shard-payload-{i}").into_bytes(),
-                vec![format!("clue-{i}")],
-                i,
+            // Clue-spread appends land on different shards; block_size 1
+            // seals each immediately, so every journal is anchorable.
+            let mut jsns = Vec::new();
+            for i in 0..12u64 {
+                let tx = TxRequest::signed(
+                    &alice,
+                    format!("shard-payload-{i}").into_bytes(),
+                    vec![format!("clue-{i}")],
+                    i,
+                );
+                let (jsn, _) = remote.append(tx).unwrap();
+                jsns.push(jsn);
+            }
+            let shards_hit: std::collections::BTreeSet<u64> =
+                jsns.iter().map(|jsn| jsn >> 56).collect();
+            assert_eq!(shards_hit.len(), k, "K={k}: the clues reach every shard");
+
+            remote.sync_sharded().unwrap();
+            let own_top = remote.sharded().unwrap().top_root();
+            assert_eq!(
+                remote.topology().unwrap().top_root,
+                own_top,
+                "K={k}: client-derived top root must match the server's"
             );
-            let (jsn, _) = remote.append(tx).unwrap();
-            jsns.push(jsn);
-        }
 
-        remote.sync_sharded().unwrap();
-        let own_top = remote.sharded().unwrap().top_root();
-        assert_eq!(
-            remote.topology().unwrap().top_root,
-            own_top,
-            "client-derived top root must match the server's"
-        );
-
-        for jsn in jsns {
-            let proof = remote.prove_composed(jsn).unwrap();
-            assert_eq!(proof.shard as u64, jsn >> 56, "shard id rides in the jsn high byte");
+            // `prove_composed` verifies both legs against the client's
+            // own replicas and top tree before returning.
+            for jsn in jsns {
+                let proof = remote
+                    .prove_composed(jsn)
+                    .unwrap_or_else(|e| panic!("K={k}: composed proof for {jsn} rejected: {e}"));
+                assert_eq!(proof.shard as u64, jsn >> 56, "shard id rides in the jsn high byte");
+            }
+            server.shutdown();
         }
-        server.shutdown();
     }
 
     #[test]

@@ -18,9 +18,6 @@
 //!   the list with plain `Acquire` loads and takes no lock at all, so
 //!   it cannot allocate *while holding a registry lock* (there is no
 //!   lock to hold) and cannot block writers.
-//! * **Kill switch.** `set_enabled(false)` turns every recording
-//!   operation into a single relaxed load + early return, which is the
-//!   "no-op registry build" used to measure telemetry overhead.
 //!
 //! Values recorded into `Unit::Seconds` histograms are nanoseconds;
 //! the encoder scales them to seconds at exposition time.
@@ -38,46 +35,12 @@ pub use encode::{parse_value, render, EXPOSITION_CONTENT_TYPE};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Unit, NUM_BUCKETS};
 pub use registry::{Metric, Registry};
 pub use span::{set_slow_op_threshold, slow_op_threshold_ns, Span};
-pub use trace::{
-    set_trace_enabled, trace_enabled, StageSpan, TraceContext, TraceId, TraceScope,
-};
-
-/// Enable or disable recording on the **global** registry. Disabled,
-/// every record call is one relaxed load + return: the "no-op
-/// registry" used for overhead measurement. Scraping still works and
-/// reports whatever was recorded while enabled. Per-registry control
-/// is on [`Registry::set_enabled`].
-pub fn set_enabled(enabled: bool) {
-    Registry::global().set_enabled(enabled);
-}
-
-/// Whether recording on the global registry is currently enabled.
-pub fn enabled() -> bool {
-    Registry::global().enabled()
-}
+pub use trace::{StageSpan, TraceContext, TraceId, TraceScope};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use std::time::Duration;
-
-    #[test]
-    fn disabled_registry_records_nothing() {
-        let reg = Registry::new();
-        let c = reg.counter("kill_switch_total");
-        let h = reg.histogram("kill_switch_seconds", Unit::Seconds);
-        reg.set_enabled(false);
-        c.inc();
-        c.add(41);
-        h.observe_duration(Duration::from_millis(5));
-        assert_eq!(c.get(), 0);
-        assert_eq!(h.snapshot().count, 0);
-        // Re-enabling revives handles resolved while disabled.
-        reg.set_enabled(true);
-        c.inc();
-        assert_eq!(c.get(), 1);
-    }
 
     #[test]
     fn concurrent_scrape_never_blocks_writers() {

@@ -1,23 +1,13 @@
 //! Atomic metric primitives: counters, gauges, and fixed-bucket
 //! log-scale histograms with percentile extraction.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Duration;
-
-/// Each metric carries its registry's kill switch: disabled, every
-/// record call is one relaxed load + return (the "no-op registry"
-/// used for overhead measurement). Standalone metrics built with
-/// `new()` are always enabled.
-pub(crate) fn always_enabled() -> Arc<AtomicBool> {
-    Arc::new(AtomicBool::new(true))
-}
 
 /// Monotonic event counter.
 #[derive(Debug)]
 pub struct Counter {
     v: AtomicU64,
-    enabled: Arc<AtomicBool>,
 }
 
 impl Default for Counter {
@@ -28,11 +18,7 @@ impl Default for Counter {
 
 impl Counter {
     pub fn new() -> Self {
-        Self::with_flag(always_enabled())
-    }
-
-    pub(crate) fn with_flag(enabled: Arc<AtomicBool>) -> Self {
-        Counter { v: AtomicU64::new(0), enabled }
+        Counter { v: AtomicU64::new(0) }
     }
 
     #[inline]
@@ -42,9 +28,6 @@ impl Counter {
 
     #[inline]
     pub fn add(&self, n: u64) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         self.v.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -58,7 +41,6 @@ impl Counter {
 #[derive(Debug)]
 pub struct Gauge {
     v: AtomicI64,
-    enabled: Arc<AtomicBool>,
 }
 
 impl Default for Gauge {
@@ -69,26 +51,16 @@ impl Default for Gauge {
 
 impl Gauge {
     pub fn new() -> Self {
-        Self::with_flag(always_enabled())
-    }
-
-    pub(crate) fn with_flag(enabled: Arc<AtomicBool>) -> Self {
-        Gauge { v: AtomicI64::new(0), enabled }
+        Gauge { v: AtomicI64::new(0) }
     }
 
     #[inline]
     pub fn set(&self, v: i64) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         self.v.store(v, Ordering::Relaxed);
     }
 
     #[inline]
     pub fn add(&self, d: i64) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         self.v.fetch_add(d, Ordering::Relaxed);
     }
 
@@ -162,7 +134,6 @@ pub struct Histogram {
     sum: AtomicU64,
     max: AtomicU64,
     unit: Unit,
-    enabled: Arc<AtomicBool>,
 }
 
 impl std::fmt::Debug for Histogram {
@@ -192,10 +163,6 @@ pub struct HistogramSnapshot {
 
 impl Histogram {
     pub fn new(unit: Unit) -> Self {
-        Self::with_flag(unit, always_enabled())
-    }
-
-    pub(crate) fn with_flag(unit: Unit, enabled: Arc<AtomicBool>) -> Self {
         #[allow(clippy::declare_interior_mutable_const)]
         const ZERO: AtomicU64 = AtomicU64::new(0);
         Histogram {
@@ -204,7 +171,6 @@ impl Histogram {
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
             unit,
-            enabled,
         }
     }
 
@@ -215,9 +181,6 @@ impl Histogram {
     /// Record one raw sample (nanoseconds for `Unit::Seconds`).
     #[inline]
     pub fn observe(&self, v: u64) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);

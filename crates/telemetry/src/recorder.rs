@@ -23,7 +23,7 @@
 //! Stage names are `&'static str` interned to small ids so a slot is
 //! seven words of atomics and carries no pointers.
 
-use crate::trace::{now_ns, trace_enabled, TraceContext};
+use crate::trace::{now_ns, TraceContext};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -233,9 +233,6 @@ pub fn record(event: SpanEvent) {
 pub fn finish_root(ctx: TraceContext, name: &'static str, start_ns: u64, error: bool) -> u64 {
     let end_ns = now_ns();
     let dur_ns = end_ns.saturating_sub(start_ns);
-    if !trace_enabled() {
-        return dur_ns;
-    }
     let root_name = name_id(name);
     record(SpanEvent {
         trace: ctx.trace.0,
@@ -450,38 +447,62 @@ mod tests {
 
     #[test]
     fn concurrent_writers_and_scanners_stay_consistent() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+        use std::time::{Duration, Instant};
+        const WRITERS: u64 = 3;
+        const MIN_SCANS: usize = 50;
         let trace = TraceId::mint();
-        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let writers: Vec<_> = (0..3)
-            .map(|w| {
-                let stop = stop.clone();
-                std::thread::spawn(move || {
-                    let mut n = 0u64;
+        let stop = AtomicBool::new(false);
+        let start = Barrier::new(WRITERS as usize + 1);
+        let written: Vec<AtomicU64> = (0..WRITERS).map(|_| AtomicU64::new(0)).collect();
+        let (torn, scans, advances) = std::thread::scope(|scope| {
+            for w in 0..WRITERS {
+                let (stop, start, written) = (&stop, &start, &written);
+                scope.spawn(move || {
+                    start.wait();
                     while !stop.load(Ordering::Relaxed) {
-                        record(event(
-                            trace.0,
-                            crate::trace::next_span_id(),
-                            w,
-                            "torture_stage",
-                        ));
-                        n += 1;
+                        record(event(trace.0, crate::trace::next_span_id(), w, "torture_stage"));
+                        written[w as usize].fetch_add(1, Ordering::Relaxed);
                     }
-                    n
-                })
-            })
-            .collect();
-        for _ in 0..50 {
-            for e in events_for(trace.0) {
-                // A torn read would show impossible field mixes; the
-                // seqlock must never surface one.
-                assert_eq!(e.trace, trace.0);
-                assert_eq!(e.end_ns - e.start_ns, 100);
-                assert_eq!(name_of(e.name_id), "torture_stage");
+                });
             }
+            start.wait();
+            // Scan until every writer has recorded and some scan saw the
+            // ring advance since the previous one (a write landed between
+            // two scans, so scanning overlapped writing), at least
+            // MIN_SCANS times. The deadline turns a stuck writer into a
+            // failure instead of a hang.
+            let deadline = Instant::now() + Duration::from_secs(30);
+            let (mut torn, mut scans, mut advances, mut prev_newest) = (None, 0usize, 0usize, 0);
+            while torn.is_none() && Instant::now() < deadline {
+                let events = events_for(trace.0);
+                // A torn read would show an impossible field mix; the
+                // seqlock must never surface one.
+                torn = events.iter().copied().find(|e| {
+                    e.parent >= WRITERS
+                        || e.end_ns.wrapping_sub(e.start_ns) != 100
+                        || name_of(e.name_id) != "torture_stage"
+                });
+                let newest = events.iter().map(|e| e.span).max().unwrap_or(0);
+                if scans > 0 && newest > prev_newest {
+                    advances += 1;
+                }
+                prev_newest = newest;
+                scans += 1;
+                let all_wrote = written.iter().all(|n| n.load(Ordering::Relaxed) > 0);
+                if scans >= MIN_SCANS && all_wrote && advances > 0 {
+                    break;
+                }
+            }
+            stop.store(true, Ordering::Relaxed);
+            (torn, scans, advances)
+        });
+        assert_eq!(torn, None, "a scan surfaced a torn slot");
+        for (w, n) in written.iter().enumerate() {
+            assert!(n.load(Ordering::Relaxed) > 0, "writer {w} never recorded");
         }
-        stop.store(true, Ordering::Relaxed);
-        let total: u64 = writers.into_iter().map(|w| w.join().unwrap()).sum();
-        assert!(total > 0);
+        assert!(advances > 0, "none of {scans} scans saw the ring advance");
     }
 
     #[test]

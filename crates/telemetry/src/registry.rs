@@ -9,7 +9,7 @@
 //! still hold `&self`.
 
 use crate::metrics::{Counter, Gauge, Histogram, Unit};
-use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
+use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// A registered metric handle.
@@ -30,8 +30,6 @@ pub struct Registry {
     head: AtomicPtr<Node>,
     /// Serializes registration only; never touched by readers.
     reg: Mutex<()>,
-    /// Kill switch shared with every metric this registry hands out.
-    enabled: Arc<AtomicBool>,
 }
 
 impl std::fmt::Debug for Registry {
@@ -56,23 +54,7 @@ impl Default for Registry {
 
 impl Registry {
     pub fn new() -> Self {
-        Registry {
-            head: AtomicPtr::new(std::ptr::null_mut()),
-            reg: Mutex::new(()),
-            enabled: Arc::new(AtomicBool::new(true)),
-        }
-    }
-
-    /// Enable or disable recording for every metric handed out by this
-    /// registry (including handles already resolved). Disabled, each
-    /// record call is one relaxed load + early return.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether recording is enabled.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
+        Registry { head: AtomicPtr::new(std::ptr::null_mut()), reg: Mutex::new(()) }
     }
 
     /// The process-wide default registry; bins and default constructors
@@ -119,8 +101,7 @@ impl Registry {
     /// Get or create a counter. Panics if `name` is already registered
     /// as a different metric kind (programmer error).
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let flag = self.enabled.clone();
-        match self.get_or_insert(name, || Metric::Counter(Arc::new(Counter::with_flag(flag)))) {
+        match self.get_or_insert(name, || Metric::Counter(Arc::new(Counter::new()))) {
             Metric::Counter(c) => c,
             other => panic!("metric {name:?} already registered as {other:?}"),
         }
@@ -128,8 +109,7 @@ impl Registry {
 
     /// Get or create a gauge.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let flag = self.enabled.clone();
-        match self.get_or_insert(name, || Metric::Gauge(Arc::new(Gauge::with_flag(flag)))) {
+        match self.get_or_insert(name, || Metric::Gauge(Arc::new(Gauge::new()))) {
             Metric::Gauge(g) => g,
             other => panic!("metric {name:?} already registered as {other:?}"),
         }
@@ -138,10 +118,7 @@ impl Registry {
     /// Get or create a histogram. The unit of an existing histogram
     /// wins; it is a programmer error to re-register with another unit.
     pub fn histogram(&self, name: &str, unit: Unit) -> Arc<Histogram> {
-        let flag = self.enabled.clone();
-        match self
-            .get_or_insert(name, || Metric::Histogram(Arc::new(Histogram::with_flag(unit, flag))))
-        {
+        match self.get_or_insert(name, || Metric::Histogram(Arc::new(Histogram::new(unit)))) {
             Metric::Histogram(h) => {
                 assert_eq!(h.unit(), unit, "metric {name:?} registered with a different unit");
                 h

@@ -25,32 +25,14 @@
 //! seal legs) capture [`current_scope`] before the fan-out and install
 //! it inside the worker closure, so worker spans land in the
 //! submitting request's tree.
-//!
-//! The whole subsystem has a kill switch ([`set_trace_enabled`]) used
-//! by the overhead A/B harness; disabled, minting still yields unique
-//! ids but no events are recorded.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// Process-wide recording switch (tracing is always-on by default; the
-/// loadgen A/B harness turns it off to measure overhead).
-static TRACE_ENABLED: AtomicBool = AtomicBool::new(true);
-
 /// Monotonic source for span/trace id allocation.
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Enable or disable span recording process-wide.
-pub fn set_trace_enabled(enabled: bool) {
-    TRACE_ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether span recording is enabled.
-pub fn trace_enabled() -> bool {
-    TRACE_ENABLED.load(Ordering::Relaxed)
-}
 
 /// Nanoseconds since the process's trace epoch (first use). All span
 /// timestamps share this base, so cross-thread ordering is meaningful.
@@ -176,16 +158,14 @@ impl Drop for ScopeGuard {
 /// new span's id.
 pub fn record_span(ctx: TraceContext, name: &'static str, start_ns: u64, end_ns: u64) -> u64 {
     let span = next_span_id();
-    if trace_enabled() {
-        crate::recorder::record(crate::recorder::SpanEvent {
-            trace: ctx.trace.0,
-            span,
-            parent: ctx.span,
-            name_id: crate::recorder::name_id(name),
-            start_ns,
-            end_ns,
-        });
-    }
+    crate::recorder::record(crate::recorder::SpanEvent {
+        trace: ctx.trace.0,
+        span,
+        parent: ctx.span,
+        name_id: crate::recorder::name_id(name),
+        start_ns,
+        end_ns,
+    });
     span
 }
 
@@ -197,9 +177,6 @@ pub fn record_span_multi(
     start_ns: u64,
     end_ns: u64,
 ) {
-    if !trace_enabled() {
-        return;
-    }
     let name_id = crate::recorder::name_id(name);
     for ctx in members {
         crate::recorder::record(crate::recorder::SpanEvent {
@@ -222,7 +199,7 @@ enum StageState {
 }
 
 /// RAII stage span: opens at construction, records on drop. Inert
-/// (two TLS reads) when no scope is installed or tracing is disabled.
+/// (two TLS reads) when no scope is installed.
 /// Under a single-request scope, child `StageSpan`s opened while this
 /// one is alive become its children in the span tree.
 #[must_use = "a stage span records on drop; binding it to _ measures nothing"]
@@ -234,9 +211,6 @@ pub struct StageSpan {
 
 impl StageSpan {
     pub fn begin(name: &'static str) -> StageSpan {
-        if !trace_enabled() {
-            return StageSpan { name, start_ns: 0, state: None };
-        }
         let state = match current_scope() {
             Some(TraceScope::Single(ctx)) => {
                 let span = next_span_id();
@@ -334,20 +308,9 @@ mod tests {
     }
 
     #[test]
-    fn spans_are_inert_without_scope_and_when_disabled() {
-        {
-            let span = StageSpan::begin("orphan_stage");
-            assert!(!span.active(), "no scope installed");
-        }
-        let trace = TraceId::mint();
-        set_trace_enabled(false);
-        {
-            let _g = install(TraceScope::Single(TraceContext::root(trace)));
-            let span = StageSpan::begin("disabled_stage");
-            assert!(!span.active(), "kill switch wins");
-        }
-        set_trace_enabled(true);
-        assert!(recorder::events_for(trace.0).is_empty());
+    fn spans_are_inert_without_scope() {
+        let span = StageSpan::begin("orphan_stage");
+        assert!(!span.active(), "no scope installed");
     }
 
     #[test]

