@@ -58,26 +58,20 @@ pub fn audit_ledger(ledger: &LedgerDb, config: &AuditConfig) -> Result<AuditRepo
     let mut report = AuditReport::default();
 
     let block_limit = match config.until {
-        Some(t) => ledger
-            .blocks()
-            .iter()
-            .take_while(|b| b.timestamp <= t)
-            .count(),
-        None => ledger.blocks().len(),
+        Some(t) => ledger.blocks().take_while(|b| b.timestamp <= t).count(),
+        None => ledger.sealed.len(),
     };
-    let blocks = &ledger.blocks()[..block_limit];
-    let journal_limit = blocks
-        .last()
-        .map(|b| b.first_jsn + b.journal_count)
-        .unwrap_or(0);
+    // The audited segments: each block with its journals. Auditors see
+    // kinds and retained hashes, so the occult retrieval gate is not
+    // applied here.
+    let segments = &ledger.sealed[..block_limit];
+    let journal_limit = crate::snapshot::sealed_count(segments);
 
     // ------------------------------------------------------------------
     // Step 1: purge (Π₁) and occult (Π₂) journal validity.
     // ------------------------------------------------------------------
-    for jsn in 0..journal_limit {
-        let journal = ledger
-            .journal_unchecked(jsn)
-            .ok_or(LedgerError::UnknownJournal(jsn))?;
+    for journal in segments.iter().flat_map(|s| &s.journals) {
+        let jsn = journal.jsn;
         match &journal.kind {
             JournalKind::Purge { purge_to, approvals } => {
                 let digest = ledger.purge_approval_digest(*purge_to);
@@ -127,11 +121,9 @@ pub fn audit_ledger(ledger: &LedgerDb, config: &AuditConfig) -> Result<AuditRepo
     // Step 2: locate and prove time journals; partition block ranges.
     // ------------------------------------------------------------------
     let mut time_block_bounds = Vec::new();
-    for (height, block) in blocks.iter().enumerate() {
-        for jsn in block.first_jsn..block.first_jsn + block.journal_count {
-            let journal = ledger
-                .journal_unchecked(jsn)
-                .ok_or(LedgerError::UnknownJournal(jsn))?;
+    for (height, segment) in segments.iter().enumerate() {
+        for journal in &segment.journals {
+            let jsn = journal.jsn;
             if let JournalKind::Time(receipt) = &journal.kind {
                 receipt.verify().map_err(|_| {
                     LedgerError::AuditFailed(format!("time journal {jsn}: bad notary signature"))
@@ -156,8 +148,8 @@ pub fn audit_ledger(ledger: &LedgerDb, config: &AuditConfig) -> Result<AuditRepo
         report.time_ranges.push((start, bound + 1));
         start = bound + 1;
     }
-    if start < blocks.len() as u64 {
-        report.time_ranges.push((start, blocks.len() as u64));
+    if start < block_limit as u64 {
+        report.time_ranges.push((start, block_limit as u64));
     }
 
     // ------------------------------------------------------------------
@@ -165,11 +157,10 @@ pub fn audit_ledger(ledger: &LedgerDb, config: &AuditConfig) -> Result<AuditRepo
     // signatures (who) and fam roots, block by block.
     // ------------------------------------------------------------------
     let mut replay_fam = FamTree::new(ledger.fam_delta());
-    for block in blocks {
-        for (offset, jsn) in (block.first_jsn..block.first_jsn + block.journal_count).enumerate() {
-            let journal = ledger
-                .journal_unchecked(jsn)
-                .ok_or(LedgerError::UnknownJournal(jsn))?;
+    for segment in segments {
+        let block = &segment.block;
+        for (offset, journal) in segment.journals.iter().enumerate() {
+            let jsn = journal.jsn;
             // Protocol 2: for an occulted journal the retained hash stands
             // in for the payload; the record's recomputed tx-hash IS that
             // retained hash, so replay is uniform.
@@ -205,7 +196,8 @@ pub fn audit_ledger(ledger: &LedgerDb, config: &AuditConfig) -> Result<AuditRepo
     // ------------------------------------------------------------------
     // Step 4: block boundary verification (𝒱').
     // ------------------------------------------------------------------
-    for pair in blocks.windows(2) {
+    for pair in segments.windows(2) {
+        let pair = [&pair[0].block, &pair[1].block];
         if pair[1].prev_block_hash != pair[0].hash() {
             return Err(LedgerError::AuditFailed(format!(
                 "block boundary {} -> {}: link broken",

@@ -17,10 +17,9 @@
 //! Loading **re-derives every root from the deserialized structures**
 //! and cross-checks them against the manifest and the last covered
 //! block, so a corrupted or tampered checkpoint is rejected rather than
-//! silently installed (the same posture as WAL replay). The skip list
-//! is not serialized at all — it is rebuilt from
-//! the checkpointed journals, which is deterministic because each
-//! per-clue list seeds its own generator.
+//! silently installed (the same posture as WAL replay). The CM-Tree's
+//! clue → jsn references are not committed by any root, so the loader
+//! re-derives them from the journals and checks them instead.
 
 use crate::ledger::{LedgerDb, PseudoGenesis};
 use crate::types::{Block, Journal, LedgerInfo};
@@ -28,13 +27,13 @@ use crate::LedgerError;
 use ledgerdb_accumulator::fam::{FamParts, FamTree};
 use ledgerdb_accumulator::shrubs::Shrubs;
 use ledgerdb_clue::cm_tree::CmTree;
-use ledgerdb_clue::csl::ClueSkipList;
 use ledgerdb_crypto::digest::Digest;
 use ledgerdb_crypto::sha256::Sha256;
 use ledgerdb_crypto::wire::{Reader, Wire, WireError, Writer};
 use crate::state::{StateBackend, StateCommitment, WorldState};
 use ledgerdb_storage::checkpoint::{CheckpointStore, CkptIo};
 use ledgerdb_storage::occult_index::OccultIndex;
+use std::collections::HashMap;
 
 /// Manifest format version.
 const MANIFEST_VERSION: u32 = 1;
@@ -91,6 +90,16 @@ fn decode_shrubs(r: &mut Reader<'_>) -> Result<Shrubs, WireError> {
     let nodes = Vec::<Digest>::decode(r)?;
     Shrubs::from_parts(nodes, leaf_count)
         .map_err(|_| WireError::Invalid("shrubs node storage does not match leaf count"))
+}
+
+/// `Vec<T>::to_wire` over borrowed items: the same bytes, no copy.
+fn encode_seq<'a, T: Wire + 'a>(len: u64, items: impl Iterator<Item = &'a T>) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.put_u64(len);
+    for item in items {
+        item.encode(&mut w);
+    }
+    w.into_bytes()
 }
 
 fn encode_fam(parts: &FamParts) -> Vec<u8> {
@@ -202,7 +211,7 @@ pub fn decode_aux(bytes: &[u8]) -> Result<Aux, WireError> {
 
 /// Serialize the ledger's sealed-prefix state and commit it to `store`.
 ///
-/// The ledger must be at a seal boundary (`pending` empty) — the WAL
+/// The ledger must be at a seal boundary (empty tail) — the WAL
 /// reset that follows a successful checkpoint assumes every WAL record
 /// is covered. Returns `(snapshot id, bytes written, segment digests)`;
 /// the digests feed [`CheckpointStore::gc`].
@@ -211,7 +220,7 @@ pub(crate) fn write_checkpoint(
     store: &CheckpointStore,
     io: &CkptIo,
 ) -> Result<(Digest, u64, Vec<Digest>), LedgerError> {
-    if !ledger.pending.is_empty() {
+    if ledger.pending_journals() != 0 {
         return Err(LedgerError::Recovery(
             "checkpoint requires a seal boundary (pending journals exist)".to_string(),
         ));
@@ -231,21 +240,17 @@ pub(crate) fn write_checkpoint(
             .collect(),
     };
     let segments: Vec<(String, Vec<u8>)> = vec![
-        ("journals".to_string(), ledger.journals.to_wire()),
-        ("blocks".to_string(), ledger.blocks.to_wire()),
+        ("journals".to_string(), encode_seq(ledger.journal_count(), ledger.journals())),
+        ("blocks".to_string(), encode_seq(ledger.block_count(), ledger.blocks())),
         ("fam".to_string(), encode_fam(&ledger.fam.export_parts())),
         ("cm".to_string(), encode_cm(&ledger.cm_tree.export_parts())),
         ("state".to_string(), ledger.world_state.canonical_entries().to_wire()),
         ("aux".to_string(), encode_aux(&aux)),
     ];
     let ledger_id = ledger.id;
-    let journal_count = ledger.journals.len() as u64;
-    let block_count = ledger.blocks.len() as u64;
-    let info = LedgerInfo {
-        journal_root: ledger.fam.root(),
-        clue_root: ledger.cm_tree.root(),
-        state_root: ledger.world_state.commitment_root(),
-    };
+    let journal_count = ledger.journal_count();
+    let block_count = ledger.block_count();
+    let info = ledger.roots();
     let (snapshot_id, bytes) = store.publish(
         &segments,
         |refs| {
@@ -271,10 +276,8 @@ pub(crate) struct LoadedCheckpoint {
     pub manifest: CheckpointManifest,
     pub journals: Vec<Journal>,
     pub blocks: Vec<Block>,
-    pub tx_hashes: Vec<Digest>,
     pub fam: FamTree,
     pub cm_tree: CmTree,
-    pub csl: ClueSkipList,
     pub world_state: WorldState,
     pub occult_index: OccultIndex,
     pub pseudo_genesis: Option<PseudoGenesis>,
@@ -283,6 +286,45 @@ pub(crate) struct LoadedCheckpoint {
 
 fn wire_err(what: &str, e: WireError) -> LedgerError {
     LedgerError::Recovery(format!("checkpoint {what} undecodable: {e}"))
+}
+
+/// The `cm` segment's jsn references are the clue → jsn index behind
+/// `ListTx` and occult-by-clue, yet no root commits to them. So they
+/// must equal, clue by clue and in order, the jsns of the journals that
+/// carry each clue; and CM-Tree2 leaf `i` must be the tx-hash of journal
+/// `refs[i]` (Shrubs keeps raw leaves, so this is a comparison).
+fn check_clue_index(
+    journals: &[Journal],
+    tx_hashes: &[Digest],
+    cm_parts: &[(String, Shrubs, Vec<u64>)],
+) -> Result<(), LedgerError> {
+    let mut expected: HashMap<&str, Vec<u64>> = HashMap::new();
+    for j in journals {
+        for clue in &j.clues {
+            expected.entry(clue.as_str()).or_default().push(j.jsn);
+        }
+    }
+    for (clue, subtree, refs) in cm_parts {
+        if expected.remove(clue.as_str()).as_ref() != Some(refs) {
+            return Err(LedgerError::Recovery(format!(
+                "checkpoint clue index for '{clue}' does not match its journals"
+            )));
+        }
+        for (i, &jsn) in refs.iter().enumerate() {
+            let leaf = subtree.node(ledgerdb_accumulator::shrubs::leaf_pos(i as u64));
+            if leaf != Some(tx_hashes[jsn as usize]) {
+                return Err(LedgerError::Recovery(format!(
+                    "checkpoint clue '{clue}' leaf {i} is not its journal's tx hash"
+                )));
+            }
+        }
+    }
+    if let Some(clue) = expected.keys().next() {
+        return Err(LedgerError::Recovery(format!(
+            "checkpoint clue index is missing clue '{clue}'"
+        )));
+    }
+    Ok(())
 }
 
 /// Load and fully verify the current checkpoint, if one exists.
@@ -379,6 +421,22 @@ pub(crate) fn load_checkpoint(
         return Err(LedgerError::Recovery("checkpoint fam journal count mismatch".to_string()));
     }
 
+    // tx-hashes are recomputed from the journals (never trusted). The
+    // journals and blocks segments must name the same history: every
+    // block commits to exactly the tx-hashes its journals re-derive to
+    // (the coverage checks above keep the ranges in bounds).
+    let tx_hashes: Vec<Digest> = journals.iter().map(|j| j.tx_hash()).collect();
+    for b in &blocks {
+        let lo = b.first_jsn as usize;
+        if b.tx_hashes[..] != tx_hashes[lo..lo + b.journal_count as usize] {
+            return Err(LedgerError::Recovery(format!(
+                "checkpoint block {} does not commit to its journals' tx hashes",
+                b.height
+            )));
+        }
+    }
+    check_clue_index(&journals, &tx_hashes, &cm_parts)?;
+
     // --- Rebuild and re-derive -----------------------------------------
     let fam = FamTree::from_parts(fam_parts)
         .map_err(|e| LedgerError::Recovery(format!("checkpoint fam rejected: {e}")))?;
@@ -410,29 +468,6 @@ pub(crate) fn load_checkpoint(
         }
     }
 
-    // tx-hashes are recomputed from the journals (never trusted), and
-    // the skip list is rebuilt the same way the commit path built it —
-    // per-clue generators make this deterministic.
-    let tx_hashes: Vec<Digest> = journals.iter().map(|j| j.tx_hash()).collect();
-    // The journals and blocks segments must name the same history:
-    // every block commits to exactly the tx-hashes its journals
-    // re-derive to (the coverage checks above keep the ranges in
-    // bounds).
-    for b in &blocks {
-        let lo = b.first_jsn as usize;
-        if b.tx_hashes[..] != tx_hashes[lo..lo + b.journal_count as usize] {
-            return Err(LedgerError::Recovery(format!(
-                "checkpoint block {} does not commit to its journals' tx hashes",
-                b.height
-            )));
-        }
-    }
-    let mut csl = ClueSkipList::new();
-    for j in &journals {
-        for clue in &j.clues {
-            csl.append(clue, j.jsn);
-        }
-    }
     let pseudo_genesis = aux.pseudo_genesis.map(|(purge_to, purge_journal_jsn, snapshot, _)| {
         // The genesis hash is re-derived, not trusted from the segment.
         let genesis_hash = crate::ledger::pseudo_genesis_hash(expected_id, purge_to, &snapshot);
@@ -452,10 +487,8 @@ pub(crate) fn load_checkpoint(
         manifest,
         journals,
         blocks,
-        tx_hashes,
         fam,
         cm_tree,
-        csl,
         world_state,
         occult_index,
         pseudo_genesis,
@@ -472,19 +505,20 @@ impl LedgerDb {
         let mut h = Sha256::new();
         h.update(b"ledgerdb.fingerprint.v1");
         h.update(&self.id.0);
-        h.update(&(self.journals.len() as u64).to_be_bytes());
-        h.update(&(self.blocks.len() as u64).to_be_bytes());
-        for tx in &self.tx_hashes {
+        h.update(&self.journal_count().to_be_bytes());
+        h.update(&self.block_count().to_be_bytes());
+        let sealed_tx_hashes = self.sealed.iter().flat_map(|s| &s.block.tx_hashes);
+        for tx in sealed_tx_hashes.chain(&self.tail.tx_hashes) {
             h.update(&tx.0);
         }
-        for (i, j) in self.journals.iter().enumerate() {
+        for (i, j) in self.journals().enumerate() {
             let erased = self.store.is_erased(j.stream_index).unwrap_or(true);
             h.update(&[erased as u8, self.occult_index.is_marked(i as u64) as u8]);
         }
-        for b in &self.blocks {
+        for b in self.blocks() {
             h.update(&b.hash().0);
         }
-        for &jsn in &self.pending {
+        for jsn in self.sealed_journals()..self.journal_count() {
             h.update(&jsn.to_be_bytes());
         }
         h.update(&self.fam.root().0);

@@ -260,7 +260,7 @@ mod tests {
         }
         f.ledger.seal_block();
         let mut client = LedgerClient::new(*f.ledger.lsp_public_key(), f.ledger.fam_delta());
-        client.sync(f.ledger.blocks()).unwrap();
+        client.sync(&f.ledger.blocks().cloned().collect::<Vec<_>>()).unwrap();
         (f, client)
     }
 
@@ -281,7 +281,7 @@ mod tests {
             f.ledger.append(req).unwrap();
         }
         f.ledger.seal_block();
-        let report = client.sync(f.ledger.blocks()).unwrap();
+        let report = client.sync(&f.ledger.blocks().cloned().collect::<Vec<_>>()).unwrap();
         assert_eq!(report.blocks_accepted, 2);
         assert_eq!(report.journals_replayed, 8);
         assert_eq!(client.journal_root(), f.ledger.journal_root());
@@ -307,7 +307,7 @@ mod tests {
     fn forged_block_feed_rejected() {
         let (f, _) = synced_world();
         let mut fresh = LedgerClient::new(*f.ledger.lsp_public_key(), f.ledger.fam_delta());
-        let mut blocks = f.ledger.blocks().to_vec();
+        let mut blocks: Vec<_> = f.ledger.blocks().cloned().collect();
         // A malicious LSP swaps one tx hash (threat-B tampering).
         blocks[2].tx_hashes[1] = sha256(b"tampered journal");
         let err = fresh.sync(&blocks).unwrap_err();
@@ -320,7 +320,7 @@ mod tests {
     fn forged_chain_link_rejected() {
         let (f, _) = synced_world();
         let mut fresh = LedgerClient::new(*f.ledger.lsp_public_key(), f.ledger.fam_delta());
-        let mut blocks = f.ledger.blocks().to_vec();
+        let mut blocks: Vec<_> = f.ledger.blocks().cloned().collect();
         blocks[3].prev_block_hash = sha256(b"forked history");
         assert!(fresh.sync(&blocks).is_err());
     }

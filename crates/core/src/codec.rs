@@ -213,7 +213,7 @@ mod tests {
         let journal = f.ledger.get_tx(2).unwrap().clone();
         let decoded = Journal::from_wire(&journal.to_wire()).unwrap();
         assert_eq!(decoded.tx_hash(), journal.tx_hash());
-        let block = f.ledger.blocks()[0].clone();
+        let block = f.ledger.blocks().next().unwrap().clone();
         let decoded = Block::from_wire(&block.to_wire()).unwrap();
         assert_eq!(decoded.hash(), block.hash());
     }

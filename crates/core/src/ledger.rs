@@ -1,11 +1,14 @@
 //! The ledger kernel: append path, blocks, proofs, purge and occult.
 
 use crate::member::MemberRegistry;
+use crate::snapshot::{
+    check_retrievable, sealed_count, sealed_journal, sealed_receipt, sealed_tx_hash,
+    SealedSegment,
+};
 use crate::types::{Block, Journal, JournalKind, LedgerInfo, Receipt, TxRequest, VerifyLevel};
 use crate::LedgerError;
 use ledgerdb_accumulator::fam::{FamProof, FamTree, TrustedAnchor};
 use ledgerdb_clue::cm_tree::{ClueProof, CmTree};
-use ledgerdb_clue::csl::ClueSkipList;
 use ledgerdb_crypto::ca::Role;
 use ledgerdb_crypto::digest::Digest;
 use ledgerdb_crypto::keys::{KeyPair, PublicKey};
@@ -127,6 +130,15 @@ pub struct CheckpointPolicy {
     pub(crate) last_snapshot_id: Option<Digest>,
 }
 
+/// The unsealed tail: journals appended since the last seal, with
+/// their tx-hashes. Their jsns continue the sealed prefix without gaps,
+/// and a seal moves both vectors into a [`SealedSegment`] uncopied.
+#[derive(Default)]
+pub(crate) struct Tail {
+    pub(crate) journals: Vec<Journal>,
+    pub(crate) tx_hashes: Vec<Digest>,
+}
+
 /// The LedgerDB instance.
 pub struct LedgerDb {
     pub(crate) id: Digest,
@@ -136,22 +148,20 @@ pub struct LedgerDb {
     pub(crate) store: Arc<dyn StreamStore>,
     pub(crate) registry: MemberRegistry,
 
-    pub(crate) journals: Vec<Journal>,
-    pub(crate) blocks: Vec<Block>,
-    /// Journals appended since the last sealed block.
-    pub(crate) pending: Vec<u64>,
+    /// Sealed history, one segment per block, shared by `Arc` with
+    /// every published snapshot.
+    pub(crate) sealed: Vec<Arc<SealedSegment>>,
+    /// Journals appended since the last seal.
+    pub(crate) tail: Tail,
 
     pub(crate) fam: FamTree,
+    /// CM-Tree: the clue commitments and the one clue → jsn index.
     pub(crate) cm_tree: CmTree,
-    pub(crate) csl: ClueSkipList,
     pub(crate) world_state: WorldState,
 
     pub(crate) occult_index: OccultIndex,
     pub(crate) survival: SurvivalStream,
     pub(crate) pseudo_genesis: Option<PseudoGenesis>,
-
-    /// Cached tx-hashes, index-aligned with `journals`.
-    pub(crate) tx_hashes: Vec<Digest>,
 
     /// Metadata write-ahead log: every journal and every sealed block is
     /// appended here before the in-memory kernel mutates, so a crash can
@@ -205,17 +215,14 @@ impl LedgerDb {
             clock,
             store,
             registry,
-            journals: Vec::new(),
-            blocks: Vec::new(),
-            pending: Vec::new(),
+            sealed: Vec::new(),
+            tail: Tail::default(),
             fam,
             cm_tree: CmTree::new(),
-            csl: ClueSkipList::new(),
             world_state,
             occult_index: OccultIndex::new(),
             survival: SurvivalStream::new(),
             pseudo_genesis: None,
-            tx_hashes: Vec::new(),
             wal: None,
             durability_error: None,
             metrics: crate::metrics::CoreMetrics::default(),
@@ -247,7 +254,6 @@ impl LedgerDb {
         let hub = Arc::new(crate::snapshot::SnapshotHub::new(
             crate::snapshot::ReadSnapshot::build(self, None),
         ));
-        hub.note_journals(self.journal_count());
         self.snapshot_hub = Some(Arc::clone(&hub));
         hub
     }
@@ -376,7 +382,7 @@ impl LedgerDb {
         let Some(policy) = &self.checkpoints else {
             return Ok(None);
         };
-        if !self.pending.is_empty() {
+        if !self.tail.journals.is_empty() {
             return Ok(None);
         }
         let store = Arc::clone(&policy.store);
@@ -395,7 +401,7 @@ impl LedgerDb {
         self.metrics.checkpoints.inc();
         self.metrics.checkpoint_bytes.observe(bytes);
         self.metrics.checkpoint_write_seconds.observe_duration(start.elapsed());
-        let watermark = (self.journals.len() as u64, self.blocks.len() as u64);
+        let watermark = (self.journal_count(), self.block_count());
         if let Some(policy) = &mut self.checkpoints {
             policy.seals_since = 0;
             policy.last_watermark = Some(watermark);
@@ -453,12 +459,26 @@ impl LedgerDb {
 
     /// Total journals (all kinds).
     pub fn journal_count(&self) -> u64 {
-        self.journals.len() as u64
+        self.sealed_journals() + self.tail.journals.len() as u64
+    }
+
+    /// Journals covered by sealed blocks.
+    pub(crate) fn sealed_journals(&self) -> u64 {
+        sealed_count(&self.sealed)
     }
 
     /// Sealed blocks.
     pub fn block_count(&self) -> u64 {
-        self.blocks.len() as u64
+        self.sealed.len() as u64
+    }
+
+    /// The three live roots (fam, CM-Tree1, world state).
+    pub(crate) fn roots(&self) -> LedgerInfo {
+        LedgerInfo {
+            journal_root: self.fam.root(),
+            clue_root: self.cm_tree.root(),
+            state_root: self.world_state.commitment_root(),
+        }
     }
 
     /// Current ledger commitment (fam root).
@@ -486,14 +506,38 @@ impl LedgerDb {
         self.fam.anchor()
     }
 
-    /// Sealed blocks (audit input).
     /// Journals appended since the last sealed block.
     pub fn pending_journals(&self) -> u64 {
-        self.pending.len() as u64
+        self.tail.journals.len() as u64
     }
 
-    pub fn blocks(&self) -> &[Block] {
-        &self.blocks
+    /// Sealed blocks, oldest first.
+    pub fn blocks(&self) -> impl Iterator<Item = &Block> {
+        self.sealed.iter().map(|s| &s.block)
+    }
+
+    /// Every journal in jsn order: the sealed segments, then the tail.
+    pub(crate) fn journals(&self) -> impl DoubleEndedIterator<Item = &Journal> {
+        self.sealed
+            .iter()
+            .flat_map(|s| s.journals.iter())
+            .chain(self.tail.journals.iter())
+    }
+
+    /// A journal record, sealed or in the tail (no retrieval gate).
+    fn journal(&self, jsn: u64) -> Option<&Journal> {
+        match jsn.checked_sub(self.sealed_journals()) {
+            Some(offset) => self.tail.journals.get(offset as usize),
+            None => sealed_journal(&self.sealed, jsn),
+        }
+    }
+
+    /// A journal's tx-hash, sealed or in the tail.
+    fn tx_hash(&self, jsn: u64) -> Option<Digest> {
+        match jsn.checked_sub(self.sealed_journals()) {
+            Some(offset) => self.tail.tx_hashes.get(offset as usize).copied(),
+            None => sealed_tx_hash(&self.sealed, jsn),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -634,7 +678,7 @@ impl LedgerDb {
                     return Err(e);
                 }
             };
-            if self.pending.len() as u64 >= self.config.block_size {
+            if self.pending_journals() >= self.config.block_size {
                 if let Err(e) = self.try_seal_block() {
                     let _ = self.store.truncate_records(slot);
                     return Err(e);
@@ -699,7 +743,7 @@ impl LedgerDb {
                 return Err(e);
             }
         };
-        if self.pending.len() as u64 >= self.config.block_size {
+        if self.pending_journals() >= self.config.block_size {
             self.seal_block();
         }
         self.metrics.append_seconds.observe_duration(start.elapsed());
@@ -719,11 +763,11 @@ impl LedgerDb {
         client_sig: Option<ledgerdb_crypto::ecdsa::Signature>,
         stream_index: u64,
     ) -> Result<AppendAck, LedgerError> {
-        let jsn = self.journals.len() as u64;
+        let jsn = self.journal_count();
         let journal = Journal {
             jsn,
             kind,
-            clues: clues.clone(),
+            clues,
             payload_digest,
             request_hash,
             client_pk,
@@ -735,24 +779,38 @@ impl LedgerDb {
             let record = crate::recovery::WalRecord::Journal(journal.clone());
             wal.append(&ledgerdb_crypto::wire::Wire::to_wire(&record))?;
         }
+        let tx_hash = self.insert_journal(journal);
+        self.metrics.appends.inc();
+        Ok(AppendAck { jsn, tx_hash })
+    }
+
+    /// Feed one journal into the kernel: its tx-hash into the fam, its
+    /// clues into the CM-Tree and world state, the record into the
+    /// tail. The one way a journal enters — the commit path and WAL
+    /// replay both end here. Returns the tx-hash.
+    pub(crate) fn insert_journal(&mut self, journal: Journal) -> Digest {
         let tx_hash = journal.tx_hash();
-        self.tx_hashes.push(tx_hash);
         self.fam.append(tx_hash);
-        for clue in &clues {
-            self.cm_tree.append(clue, jsn, tx_hash);
-            self.csl.append(clue, jsn);
+        for clue in &journal.clues {
+            self.cm_tree.append(clue, journal.jsn, tx_hash);
             self.world_state.insert_kv(
                 ledgerdb_clue::clue_key(clue).as_bytes(),
                 journal.payload_digest.0.to_vec(),
             );
         }
-        self.journals.push(journal);
-        self.pending.push(jsn);
-        if let Some(hub) = &self.snapshot_hub {
-            hub.note_journals(self.journals.len() as u64);
+        self.tail.journals.push(journal);
+        self.tail.tx_hashes.push(tx_hash);
+        tx_hash
+    }
+
+    /// The hash the next sealed block links to: the last block's, or
+    /// the pseudo genesis after a purge with no block yet, or zero.
+    pub(crate) fn chain_head(&self) -> Digest {
+        match (self.sealed.last(), &self.pseudo_genesis) {
+            (Some(s), _) => s.block.hash(),
+            (None, Some(g)) => g.genesis_hash,
+            (None, None) => Digest::ZERO,
         }
-        self.metrics.appends.inc();
-        Ok(AppendAck { jsn, tx_hash })
     }
 
     /// Seal the pending journals into a block. Receipts become derivable
@@ -775,46 +833,35 @@ impl LedgerDb {
         if let Some(e) = self.clear_durability_error() {
             return Err(e);
         }
-        if self.pending.is_empty() {
+        if self.tail.journals.is_empty() {
             return Ok(());
         }
         let _seal_span = ledgerdb_telemetry::trace::StageSpan::begin("seal");
-        let first_jsn = self.pending[0];
-        let tx_hashes: Vec<Digest> =
-            self.pending.iter().map(|&j| self.tx_hashes[j as usize]).collect();
-        // Memoized: hashing the previous header is a cache read on every
-        // seal after its first (the first computed it when *it* sealed).
-        let prev_block_hash = self.blocks.last().map(|b| b.hash()).unwrap_or_else(|| {
-            self.pseudo_genesis
-                .as_ref()
-                .map(|g| g.genesis_hash)
-                .unwrap_or(Digest::ZERO)
-        });
         let info = self.seal_roots();
+        // The tail's tx-hashes move into the block; the chain link is a
+        // memo read (the previous seal primed it).
         let block = Block::new(
-            self.blocks.len() as u64,
-            first_jsn,
-            self.pending.len() as u64,
+            self.block_count(),
+            self.sealed_journals(),
+            self.pending_journals(),
             info,
-            prev_block_hash,
+            self.chain_head(),
             self.clock.now(),
-            tx_hashes,
+            std::mem::take(&mut self.tail.tx_hashes),
         );
         // The seal record hits the WAL before the block exists in
-        // memory; a crash in between replays the seal idempotently.
-        // Borrowed encode: the block is serialized in place, not cloned
-        // into a `WalRecord` first (see `recovery::seal_wire`).
+        // memory; a crash in between replays the seal idempotently. On
+        // failure the tx-hashes go back to the tail, unsealed.
         if let Some(wal) = &self.wal {
-            wal.append(&crate::recovery::seal_wire(&block))?;
+            if let Err(e) = wal.append(&crate::recovery::seal_wire(&block)) {
+                self.tail.tx_hashes = block.tx_hashes;
+                return Err(e.into());
+            }
         }
-        self.pending.clear();
-        self.blocks.push(block);
+        let journals = std::mem::take(&mut self.tail.journals);
+        self.sealed.push(SealedSegment::new(block, journals));
         self.metrics.seals.inc();
-        // Prime the memo while the seal owns the block: the WAL bytes
-        // above did not need the hash, but the next seal's chain link,
-        // the snapshot publisher and the block feed all will.
-        self.blocks.last().expect("just pushed").hash();
-        // Publish-on-seal: `pending` is empty, so the frozen fam covers
+        // Publish-on-seal: the tail is empty, so the frozen fam covers
         // exactly the sealed journals and its root equals the block's
         // `info.journal_root` — the snapshot names a consistent LedgerInfo.
         self.publish_snapshot();
@@ -904,15 +951,9 @@ impl LedgerDb {
 
     /// Fetch a journal record (fails for occulted journals, §III-A3).
     pub fn get_tx(&self, jsn: u64) -> Result<&Journal, LedgerError> {
-        if self.occult_index.is_marked(jsn) {
-            return Err(LedgerError::Occulted(jsn));
-        }
-        if let Some(g) = &self.pseudo_genesis {
-            if jsn < g.purge_to {
-                return Err(LedgerError::Purged(jsn));
-            }
-        }
-        self.journals.get(jsn as usize).ok_or(LedgerError::UnknownJournal(jsn))
+        let purge_to = self.pseudo_genesis.as_ref().map_or(0, |g| g.purge_to);
+        check_retrievable(jsn, self.occult_index.is_marked(jsn), purge_to)?;
+        self.journal(jsn).ok_or(LedgerError::UnknownJournal(jsn))
     }
 
     /// Fetch a journal's payload from the stream store.
@@ -921,48 +962,19 @@ impl LedgerDb {
         Ok(self.store.read(journal.stream_index)?)
     }
 
-    /// jsns recorded under a clue (ListTx).
+    /// jsns recorded under a clue (ListTx), read from the CM-Tree's
+    /// jsn references.
     pub fn list_tx(&self, clue: &str) -> Vec<u64> {
-        self.csl.list(clue)
+        self.cm_tree.jsns(clue).to_vec()
     }
 
-    /// The receipt π_s for a journal (None until its block seals).
-    ///
-    /// Receipts are derived and LSP-signed on demand: deterministic ECDSA
-    /// makes repeated calls return byte-identical receipts, and the append
-    /// hot path stays free of signing work (the proxy tier hands receipts
-    /// to clients asynchronously after block commitment, Fig 1).
+    /// The receipt π_s for a journal (None until its block seals),
+    /// signed on demand.
     pub fn receipt(&self, jsn: u64) -> Result<Option<Receipt>, LedgerError> {
-        let journal = self
-            .journals
-            .get(jsn as usize)
-            .ok_or(LedgerError::UnknownJournal(jsn))?;
-        // Locate the sealed block containing this jsn.
-        let idx = self.blocks.partition_point(|b| b.first_jsn + b.journal_count <= jsn);
-        let Some(block) = self.blocks.get(idx) else {
-            return Ok(None); // Not yet sealed.
-        };
-        if jsn < block.first_jsn {
-            return Ok(None);
+        if jsn >= self.journal_count() {
+            return Err(LedgerError::UnknownJournal(jsn));
         }
-        let block_hash = block.hash();
-        let tx_hash = self.tx_hashes[jsn as usize];
-        let msg = Receipt::signing_digest(
-            jsn,
-            &journal.request_hash,
-            &tx_hash,
-            &block_hash,
-            journal.timestamp,
-        );
-        Ok(Some(Receipt {
-            jsn,
-            request_hash: journal.request_hash,
-            tx_hash,
-            block_hash,
-            timestamp: journal.timestamp,
-            lsp_pk: *self.lsp_keys.public(),
-            signature: self.lsp_keys.sign(&msg),
-        }))
+        Ok(sealed_receipt(&self.sealed, &self.lsp_keys, jsn))
     }
 
     // ------------------------------------------------------------------
@@ -978,10 +990,7 @@ impl LedgerDb {
     ) -> Result<(Digest, FamProof), LedgerError> {
         let _span = self.metrics.proof_seconds.time("ledger_proof");
         self.metrics.proofs.inc();
-        if jsn as usize >= self.journals.len() {
-            return Err(LedgerError::UnknownJournal(jsn));
-        }
-        let tx_hash = self.tx_hashes[jsn as usize];
+        let tx_hash = self.tx_hash(jsn).ok_or(LedgerError::UnknownJournal(jsn))?;
         let proof = self.fam.prove(jsn, anchor)?;
         Ok((tx_hash, proof))
     }
@@ -1000,10 +1009,7 @@ impl LedgerDb {
         self.metrics.verifies.inc();
         match level {
             VerifyLevel::Server => {
-                let journal = self
-                    .journals
-                    .get(jsn as usize)
-                    .ok_or(LedgerError::UnknownJournal(jsn))?;
+                let journal = self.journal(jsn).ok_or(LedgerError::UnknownJournal(jsn))?;
                 if journal.tx_hash() == *tx_hash {
                     Ok(())
                 } else {
@@ -1086,7 +1092,7 @@ impl LedgerDb {
     /// Prerequisite 1 requires in the purge multi-signature.
     pub fn members_before(&self, purge_to: u64) -> Vec<PublicKey> {
         let mut keys: Vec<PublicKey> = Vec::new();
-        for journal in self.journals.iter().take(purge_to as usize) {
+        for journal in self.journals().take(purge_to as usize) {
             if let Some(pk) = journal.client_pk {
                 if !keys.contains(&pk) {
                     keys.push(pk);
@@ -1117,7 +1123,7 @@ impl LedgerDb {
         survivors: &[u64],
         erase_fam_nodes: bool,
     ) -> Result<AppendAck, LedgerError> {
-        if purge_to == 0 || purge_to > self.journals.len() as u64 {
+        if purge_to == 0 || purge_to > self.journal_count() {
             return Err(LedgerError::BadPurgePoint(purge_to));
         }
         if let Some(g) = &self.pseudo_genesis {
@@ -1140,19 +1146,15 @@ impl LedgerDb {
         // Pin survivors before anything is erased.
         for &jsn in survivors {
             if jsn < purge_to {
-                let journal = &self.journals[jsn as usize];
-                if let Ok(payload) = self.store.read(journal.stream_index) {
+                let index = self.journal(jsn).expect("below the purge point").stream_index;
+                if let Ok(payload) = self.store.read(index) {
                     self.survival.pin(jsn, &payload);
                 }
             }
         }
 
         // Snapshot at the purge point → pseudo genesis.
-        let snapshot = LedgerInfo {
-            journal_root: self.fam.root(),
-            clue_root: self.cm_tree.root(),
-            state_root: self.world_state.commitment_root(),
-        };
+        let snapshot = self.roots();
         let genesis_hash = pseudo_genesis_hash(&self.id, purge_to, &snapshot);
 
         // Record the purge journal (doubly linked with the pseudo genesis
@@ -1176,9 +1178,8 @@ impl LedgerDb {
         });
 
         // Erase purged payloads (digest tombstones remain).
-        for jsn in 0..purge_to {
-            let idx = self.journals[jsn as usize].stream_index;
-            self.store.erase(idx)?;
+        for journal in self.journals().take(purge_to as usize) {
+            self.store.erase(journal.stream_index)?;
         }
         // Optionally release fam node storage for fully purged epochs;
         // the trusted anchor aligns to the purge point, so retained
@@ -1230,9 +1231,9 @@ impl LedgerDb {
         approvals: MultiSignature,
         mode: OccultMode,
     ) -> Result<AppendAck, LedgerError> {
-        if target as usize >= self.journals.len() {
+        let Some(retained) = self.tx_hash(target) else {
             return Err(LedgerError::UnknownJournal(target));
-        }
+        };
         let mut required = self.registry.keys_with_role(Role::Dba);
         required.extend(self.registry.keys_with_role(Role::Regulator));
         let digest = self.occult_approval_digest(target);
@@ -1244,7 +1245,6 @@ impl LedgerDb {
         self.occult_index.mark(target);
 
         // Record the occult journal.
-        let retained = self.tx_hashes[target as usize];
         let payload = retained.0.to_vec();
         let request_hash = sha256(&payload);
         let ack = self.append_journal(
@@ -1257,7 +1257,7 @@ impl LedgerDb {
         )?;
 
         if mode == OccultMode::Sync {
-            let idx = self.journals[target as usize].stream_index;
+            let idx = self.journal(target).expect("checked above").stream_index;
             self.store.erase(idx)?;
         }
         // The mark must block snapshot-served retrieval immediately, not
@@ -1287,7 +1287,7 @@ impl LedgerDb {
         approvals: MultiSignature,
         mode: OccultMode,
     ) -> Result<(AppendAck, Vec<u64>), LedgerError> {
-        let targets = self.csl.list(clue);
+        let targets = self.list_tx(clue);
         if targets.is_empty() {
             return Err(LedgerError::Clue(ledgerdb_clue::ClueError::UnknownClue(
                 clue.to_string(),
@@ -1306,7 +1306,7 @@ impl LedgerDb {
         let mut h = Sha256::new();
         h.update(b"ledgerdb.occultclue.payload.v1");
         for &t in &targets {
-            h.update(&self.tx_hashes[t as usize].0);
+            h.update(&self.tx_hash(t).expect("indexed jsn").0);
         }
         let payload = h.finalize().to_vec();
         let request_hash = sha256(&payload);
@@ -1324,7 +1324,7 @@ impl LedgerDb {
         )?;
         if mode == OccultMode::Sync {
             for &t in &targets {
-                let idx = self.journals[t as usize].stream_index;
+                let idx = self.journal(t).expect("indexed jsn").stream_index;
                 self.store.erase(idx)?;
             }
         }
@@ -1364,18 +1364,17 @@ impl LedgerDb {
     pub fn prove_clue_range(&self, clue: &str, lo: u64, hi: u64) -> Result<ClueProof, LedgerError> {
         let jsns: Vec<u64> = self.cm_tree.jsns(clue).to_vec();
         Ok(self.cm_tree.prove_range(clue, lo, hi, |v| {
-            jsns.get(v as usize).map(|&j| self.tx_hashes[j as usize])
+            jsns.get(v as usize).and_then(|&j| self.tx_hash(j))
         })?)
     }
 
     /// The data-reorganization utility: physically erase payloads of
     /// async-occulted journals up to the current journal count.
     pub fn reorganize(&mut self) -> Result<u64, LedgerError> {
-        let upto = self.journals.len() as u64;
-        let to_erase = self.occult_index.reorganize(upto);
+        let to_erase = self.occult_index.reorganize(self.journal_count());
         let count = to_erase.len() as u64;
         for jsn in to_erase {
-            let idx = self.journals[jsn as usize].stream_index;
+            let idx = self.journal(jsn).expect("marked jsns exist").stream_index;
             self.store.erase(idx)?;
         }
         Ok(count)
@@ -1384,12 +1383,6 @@ impl LedgerDb {
     /// Is a journal occulted?
     pub fn is_occulted(&self, jsn: u64) -> bool {
         self.occult_index.is_marked(jsn)
-    }
-
-    /// Raw journal access for audits (does not enforce the occult
-    /// retrieval block; auditors see kinds and retained hashes only).
-    pub(crate) fn journal_unchecked(&self, jsn: u64) -> Option<&Journal> {
-        self.journals.get(jsn as usize)
     }
 
     /// The clock the ledger stamps journals with.

@@ -10,7 +10,7 @@
 //!
 //! [`recover`] replays the reopened WAL through a fresh kernel — the
 //! one journal/seal replay loop in the tree: every journal rebuilds
-//! the fam tree, CM-Tree, world state, skip list and occult index; every
+//! the fam tree, CM-Tree, world state and occult index; every
 //! seal record's roots, tx-hashes and block-chain link are recomputed
 //! and cross-checked. The replay invariants are:
 //!
@@ -51,10 +51,10 @@
 //! invariants. Replay work is therefore bounded by the post-checkpoint
 //! tail, not the ledger's lifetime.
 
-use crate::state::StateCommitment;
 use crate::ledger::{LedgerConfig, LedgerDb, PseudoGenesis};
+use crate::snapshot::SealedSegment;
 use crate::member::MemberRegistry;
-use crate::types::{Block, Journal, JournalKind, LedgerInfo};
+use crate::types::{Block, Journal, JournalKind};
 use crate::LedgerError;
 use ledgerdb_crypto::digest::Digest;
 use ledgerdb_crypto::wire::{Reader, Wire, WireError, Writer};
@@ -308,8 +308,8 @@ fn recover_with_checkpoint_inner(
     let mut accepted: usize = 0;
     let mut replay_failure: Option<String> = None;
     let replay_span = ledgerdb_telemetry::trace::StageSpan::begin("recovery_replay");
-    'replay: for (idx, record) in records.iter().enumerate() {
-        let covered = match record {
+    'replay: for (idx, record) in records.into_iter().enumerate() {
+        let covered = match &record {
             WalRecord::Journal(journal) => journal.jsn < ckpt_journals,
             WalRecord::Seal(block) => block.height < ckpt_blocks,
         };
@@ -359,11 +359,7 @@ fn recover_with_checkpoint_inner(
     }
 
     // Invariant 3: trim payload slots no accepted journal references.
-    let referenced = ledger
-        .journals
-        .last()
-        .map(|j| j.stream_index + 1)
-        .unwrap_or(0);
+    let referenced = ledger.journals().next_back().map_or(0, |j| j.stream_index + 1);
     if store.len() > referenced {
         report.orphan_payloads_dropped = store.len() - referenced;
         store.truncate_records(referenced)?;
@@ -371,13 +367,13 @@ fn recover_with_checkpoint_inner(
 
     // Invariant 4: redo promised erasures that never reached the disk.
     let purge_to = ledger.pseudo_genesis().map(|g| g.purge_to).unwrap_or(0);
-    for jsn in 0..ledger.journals.len() as u64 {
-        let marked = ledger.occult_index.is_marked(jsn);
+    for (jsn, journal) in ledger.journals().enumerate() {
+        let marked = ledger.occult_index.is_marked(jsn as u64);
         if marked {
             report.occult_marks += 1;
         }
-        if jsn < purge_to || marked {
-            let idx = ledger.journals[jsn as usize].stream_index;
+        if (jsn as u64) < purge_to || marked {
+            let idx = journal.stream_index;
             if !store.is_erased(idx)? {
                 store.erase(idx)?;
                 report.erases_redone += 1;
@@ -385,7 +381,7 @@ fn recover_with_checkpoint_inner(
         }
     }
 
-    report.unsealed_journals = ledger.pending.len() as u64;
+    report.unsealed_journals = ledger.pending_journals();
     crate::metrics::RecoveryMetrics::bind(telemetry).record(&report, started.elapsed());
     Ok((ledger, report))
 }
@@ -413,26 +409,31 @@ fn install_checkpoint(
             )));
         }
     }
-    ledger.journals = loaded.journals;
-    ledger.blocks = loaded.blocks;
-    ledger.tx_hashes = loaded.tx_hashes;
+    // The loader checked that the blocks cover the journals exactly.
+    let mut journals = loaded.journals.into_iter();
+    ledger.sealed = loaded
+        .blocks
+        .into_iter()
+        .map(|block| {
+            let n = block.journal_count as usize;
+            SealedSegment::new(block, journals.by_ref().take(n).collect())
+        })
+        .collect();
     ledger.fam = loaded.fam;
     ledger.cm_tree = loaded.cm_tree;
-    ledger.csl = loaded.csl;
     ledger.world_state = loaded.world_state;
     ledger.occult_index = loaded.occult_index;
     ledger.pseudo_genesis = loaded.pseudo_genesis;
     for (jsn, payload) in &loaded.survival {
         ledger.survival.pin(*jsn, payload);
     }
-    ledger.pending.clear();
     Ok(())
 }
 
 /// Replay one journal record into the kernel. Returns a human-readable
 /// reason on failure so the caller can apply the sealed/unsealed policy.
-fn replay_journal(ledger: &mut LedgerDb, journal: &Journal) -> Result<(), String> {
-    let jsn = ledger.journals.len() as u64;
+fn replay_journal(ledger: &mut LedgerDb, journal: Journal) -> Result<(), String> {
+    let jsn = ledger.journal_count();
     if journal.jsn != jsn {
         return Err(format!("journal carries jsn {}, expected {jsn}", journal.jsn));
     }
@@ -453,11 +454,7 @@ fn replay_journal(ledger: &mut LedgerDb, journal: &Journal) -> Result<(), String
     // Pseudo genesis is captured *before* the purge journal lands,
     // mirroring the original purge() execution order.
     if let JournalKind::Purge { purge_to, .. } = &journal.kind {
-        let snapshot = LedgerInfo {
-            journal_root: ledger.fam.root(),
-            clue_root: ledger.cm_tree.root(),
-            state_root: ledger.world_state.commitment_root(),
-        };
+        let snapshot = ledger.roots();
         let genesis_hash = crate::ledger::pseudo_genesis_hash(&ledger.id, *purge_to, &snapshot);
         ledger.pseudo_genesis = Some(PseudoGenesis {
             purge_to: *purge_to,
@@ -479,64 +476,40 @@ fn replay_journal(ledger: &mut LedgerDb, journal: &Journal) -> Result<(), String
         _ => {}
     }
 
-    let tx_hash = journal.tx_hash();
-    ledger.tx_hashes.push(tx_hash);
-    ledger.fam.append(tx_hash);
-    for clue in &journal.clues {
-        ledger.cm_tree.append(clue, jsn, tx_hash);
-        ledger.csl.append(clue, jsn);
-        ledger
-            .world_state
-            .insert_kv(ledgerdb_clue::clue_key(clue).as_bytes(), journal.payload_digest.0.to_vec());
-    }
-    ledger.journals.push(journal.clone());
-    ledger.pending.push(jsn);
+    ledger.insert_journal(journal);
     Ok(())
 }
 
 /// Replay one seal record: recompute the roots, tx-hashes and chain
 /// link from the rebuilt kernel and cross-check the recorded block.
-fn replay_seal(ledger: &mut LedgerDb, block: &Block) -> Result<(), String> {
-    if ledger.pending.is_empty() {
+fn replay_seal(ledger: &mut LedgerDb, block: Block) -> Result<(), String> {
+    if ledger.pending_journals() == 0 {
         return Err(format!("seal of block {} with no pending journals", block.height));
     }
-    if block.height != ledger.blocks.len() as u64 {
+    if block.height != ledger.block_count() {
         return Err(format!(
             "seal height {} out of order (expected {})",
             block.height,
-            ledger.blocks.len()
+            ledger.block_count()
         ));
     }
-    if block.first_jsn != ledger.pending[0]
-        || block.journal_count != ledger.pending.len() as u64
+    if block.first_jsn != ledger.sealed_journals()
+        || block.journal_count != ledger.pending_journals()
     {
         return Err(format!("seal of block {} covers the wrong journals", block.height));
     }
-    let expected_roots = LedgerInfo {
-        journal_root: ledger.fam.root(),
-        clue_root: ledger.cm_tree.root(),
-        state_root: ledger.world_state.commitment_root(),
-    };
-    if block.info != expected_roots {
+    if block.info != ledger.roots() {
         return Err(format!("block {} roots do not replay", block.height));
     }
-    let prev = ledger.blocks.last().map(|b| b.hash()).unwrap_or_else(|| {
-        ledger
-            .pseudo_genesis
-            .as_ref()
-            .map(|g| g.genesis_hash)
-            .unwrap_or(Digest::ZERO)
-    });
-    if block.prev_block_hash != prev {
+    if block.prev_block_hash != ledger.chain_head() {
         return Err(format!("block {} chain link broken", block.height));
     }
-    let tx_hashes: Vec<Digest> =
-        ledger.pending.iter().map(|&j| ledger.tx_hashes[j as usize]).collect();
-    if tx_hashes != block.tx_hashes {
+    if block.tx_hashes != ledger.tail.tx_hashes {
         return Err(format!("block {} tx hashes do not replay", block.height));
     }
-    ledger.pending.clear();
-    ledger.blocks.push(block.clone());
+    ledger.tail.tx_hashes.clear();
+    let journals = std::mem::take(&mut ledger.tail.journals);
+    ledger.sealed.push(SealedSegment::new(block, journals));
     Ok(())
 }
 
@@ -892,7 +865,7 @@ mod tests {
         let j = WalRecord::Journal(ledger.get_tx(0).unwrap().clone());
         let decoded = WalRecord::from_wire(&j.to_wire()).unwrap();
         assert!(matches!(decoded, WalRecord::Journal(ref d) if d.jsn == 0));
-        let s = WalRecord::Seal(ledger.blocks()[0].clone());
+        let s = WalRecord::Seal(ledger.blocks().next().unwrap().clone());
         let decoded = WalRecord::from_wire(&s.to_wire()).unwrap();
         assert!(matches!(decoded, WalRecord::Seal(ref b) if b.height == 0));
         assert!(WalRecord::from_wire(&[9, 9, 9]).is_err());

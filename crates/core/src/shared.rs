@@ -5,10 +5,11 @@
 //! `Arc<RwLock<LedgerDb>>` with a deliberately narrow API — writers take
 //! the lock briefly for appends/seals, while reads over the **sealed
 //! prefix** are served lock-free from the current [`ReadSnapshot`]
-//! (published on every seal; see [`crate::snapshot`]). Only queries
-//! that reach into the unsealed tail fall back to the shared read lock,
-//! so proof serving does not stall behind a writer holding the lock
-//! across an fsync.
+//! (published on every seal; see [`crate::snapshot`]). Queries for a
+//! jsn in the unsealed tail fall back to the shared read lock, as do
+//! the CM-Tree and world-state reads (`ListTx`, clue and state proofs),
+//! which snapshots summarize only by root. So proof serving does not
+//! stall behind a writer holding the lock across an fsync.
 
 use crate::ledger::{AppendAck, LedgerDb, OccultMode, PreparedTx};
 use crate::snapshot::{ReadSnapshot, SnapshotHub};
@@ -414,16 +415,10 @@ impl SharedLedger {
         self.inner.read().state_backend()
     }
 
-    /// List a clue's jsns. Served from the snapshot only when no
-    /// unsealed tail exists (a tail journal could carry the clue, and
-    /// the snapshot cannot see it); otherwise the locked path answers.
+    /// List a clue's jsns, sealed and unsealed: one lookup in the
+    /// CM-Tree's jsn references, under the read lock like
+    /// [`SharedLedger::prove_clue`].
     pub fn list_tx(&self, clue: &str) -> Vec<u64> {
-        let snap = self.hub.load();
-        if snap.journal_count() == self.hub.live_journals() {
-            self.hub.note_hit(&snap);
-            return snap.list_tx(clue);
-        }
-        self.hub.note_fallback(&snap);
         self.inner.read().list_tx(clue)
     }
 
@@ -648,7 +643,8 @@ mod tests {
         assert!(shared.get_tx(3).is_ok());
         assert!(shared.get_tx(9).is_ok());
         assert!(shared.receipt(9).unwrap().is_none(), "tail journal has no receipt yet");
-        // ListTx must see the tail journals too (snapshot can't → locked).
+        assert!(shared.prove_existence(9, &TrustedAnchor::default()).is_ok());
+        // ListTx sees the tail journals too.
         assert_eq!(shared.list_tx("c").len(), 10);
         let text = ledgerdb_telemetry::render(&registry);
         let hits = ledgerdb_telemetry::parse_value(&text, "ledger_snapshot_hit_total").unwrap();

@@ -1,20 +1,21 @@
-//! The lock-free snapshot read path.
+//! The lock-free snapshot read path, and the sealed segments it shares
+//! with the kernel.
 //!
 //! The sealed prefix of the ledger is immutable by construction: sealed
 //! blocks never change, sealed fam epochs never mutate, and a journal's
 //! tx-hash is fixed at append time. [`ReadSnapshot`] captures exactly
-//! that prefix — sealed block headers and their journals, a frozen fam,
-//! the CM-Tree root, the member registry view, and the occult/purge
-//! state — so `GetProof`, `Verify`, `GetTx`, `ListTx` and admission
-//! checks can be served without touching the `RwLock<LedgerDb>` that a
-//! writer may be holding across an fsync.
+//! that prefix — the kernel's sealed segments, a frozen fam, the CM-Tree
+//! root, the member registry view, and the occult/purge state — so
+//! `GetProof`, `Verify`, `GetTx` and admission checks can be served
+//! without touching the `RwLock<LedgerDb>` that a writer may be holding
+//! across an fsync.
 //!
 //! Lifecycle:
 //!
 //! * **Publish on seal** — [`crate::LedgerDb::try_seal_block`] publishes
 //!   a fresh snapshot the instant a block seals, while the write lock is
-//!   still held. At that point `pending` is empty, so the frozen fam
-//!   covers exactly the sealed journals and its root equals the new
+//!   still held. At that point the unsealed tail is empty, so the frozen
+//!   fam covers exactly the sealed journals and its root equals the new
 //!   block's `LedgerInfo::journal_root` — the snapshot is internally
 //!   consistent with the `LedgerInfo` it names, by construction.
 //! * **Republish on occult/purge** — occulting marks a journal before
@@ -22,14 +23,16 @@
 //!   immediately, so `occult`/`occult_by_clue`/`purge` republish with a
 //!   fresh occult/purge view over the *same* segments and fam (cheap:
 //!   Arc clones plus one bitmap copy).
-//! * **Unsealed-tail fallback** — queries that reach past the sealed
-//!   prefix (a jsn not yet sealed, a `ListTx` while unsealed journals
-//!   exist) fall back to the locked path; hit/fallback counters record
-//!   which way each read went.
+//! * **Unsealed-tail fallback** — a query for a jsn not yet sealed falls
+//!   back to the locked path; hit/fallback counters record which way
+//!   each read went.
 //!
-//! Segments are per-block `Arc`s, so each publish costs O(#blocks)
-//! pointer copies plus one new segment — history is shared, never
-//! recopied.
+//! The kernel owns the segments: each is one sealed block plus its
+//! journals behind an `Arc`, built once at seal (or replay, or
+//! checkpoint install) and never copied. A publish clones one pointer
+//! per block. The read functions over `&[Arc<SealedSegment>]` below are
+//! the only implementation of sealed lookups and receipts; the kernel
+//! adds only its unsealed tail.
 
 use crate::ledger::LedgerDb;
 use crate::member::MemberRegistry;
@@ -43,19 +46,99 @@ use ledgerdb_crypto::keys::{KeyPair, PublicKey};
 use ledgerdb_crypto::sync::ArcCell;
 use ledgerdb_storage::occult_index::OccultBits;
 use ledgerdb_storage::stream::StreamStore;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One sealed block and everything needed to serve reads over it.
+/// One sealed block and its journals — the kernel's storage for sealed
+/// history, shared with every snapshot by `Arc`.
 pub struct SealedSegment {
     /// The sealed block header (carries the `LedgerInfo` and tx-hashes).
     pub block: Block,
     /// The block's journals, indexed by `jsn - block.first_jsn`.
     pub journals: Vec<Journal>,
-    /// Clue → jsns recorded within this block (append order).
-    pub clues: BTreeMap<String, Vec<u64>>,
+}
+
+impl SealedSegment {
+    /// The one constructor: the seal, WAL replay and checkpoint install
+    /// all build segments here. Primes the block's hash memo, so every
+    /// later chain link, receipt and snapshot read is a cache hit.
+    pub(crate) fn new(block: Block, journals: Vec<Journal>) -> Arc<SealedSegment> {
+        debug_assert_eq!(block.journal_count, journals.len() as u64);
+        block.hash();
+        Arc::new(SealedSegment { block, journals })
+    }
+
+    /// One past the last jsn this segment holds.
+    fn end_jsn(&self) -> u64 {
+        self.block.first_jsn + self.block.journal_count
+    }
+}
+
+/// Journals covered by `sealed`.
+pub(crate) fn sealed_count(sealed: &[Arc<SealedSegment>]) -> u64 {
+    sealed.last().map_or(0, |s| s.end_jsn())
+}
+
+/// The segment holding `jsn`, if it is sealed.
+fn segment_for(sealed: &[Arc<SealedSegment>], jsn: u64) -> Option<&SealedSegment> {
+    let idx = sealed.partition_point(|s| s.end_jsn() <= jsn);
+    sealed.get(idx).map(Arc::as_ref)
+}
+
+/// A sealed journal record.
+pub(crate) fn sealed_journal(sealed: &[Arc<SealedSegment>], jsn: u64) -> Option<&Journal> {
+    segment_for(sealed, jsn).map(|s| &s.journals[(jsn - s.block.first_jsn) as usize])
+}
+
+/// A sealed journal's tx-hash, as its block committed to it.
+pub(crate) fn sealed_tx_hash(sealed: &[Arc<SealedSegment>], jsn: u64) -> Option<Digest> {
+    segment_for(sealed, jsn).map(|s| s.block.tx_hashes[(jsn - s.block.first_jsn) as usize])
+}
+
+/// The receipt π_s for a sealed journal, LSP-signed on demand; `None`
+/// when `jsn` is not sealed.
+///
+/// Deterministic ECDSA makes repeated calls return byte-identical
+/// receipts, and the append hot path stays free of signing work (the
+/// proxy tier hands receipts to clients after block commitment, Fig 1).
+pub(crate) fn sealed_receipt(
+    sealed: &[Arc<SealedSegment>],
+    lsp_keys: &KeyPair,
+    jsn: u64,
+) -> Option<Receipt> {
+    let segment = segment_for(sealed, jsn)?;
+    let offset = (jsn - segment.block.first_jsn) as usize;
+    let journal = &segment.journals[offset];
+    let tx_hash = segment.block.tx_hashes[offset];
+    let block_hash = segment.block.hash();
+    let msg = Receipt::signing_digest(
+        jsn,
+        &journal.request_hash,
+        &tx_hash,
+        &block_hash,
+        journal.timestamp,
+    );
+    Some(Receipt {
+        jsn,
+        request_hash: journal.request_hash,
+        tx_hash,
+        block_hash,
+        timestamp: journal.timestamp,
+        lsp_pk: *lsp_keys.public(),
+        signature: lsp_keys.sign(&msg),
+    })
+}
+
+/// The retrieval gate of `GetTx` (§III-A2/3): occulted and purged
+/// journals are not served, whichever path answers.
+pub(crate) fn check_retrievable(jsn: u64, occulted: bool, purge_to: u64) -> Result<(), LedgerError> {
+    if occulted {
+        return Err(LedgerError::Occulted(jsn));
+    }
+    if jsn < purge_to {
+        return Err(LedgerError::Purged(jsn));
+    }
+    Ok(())
 }
 
 /// An immutable, internally consistent view of the sealed ledger prefix.
@@ -91,34 +174,13 @@ pub struct ReadSnapshot {
 }
 
 impl ReadSnapshot {
-    /// Capture the sealed prefix of `ledger`, reusing `prev`'s segments
-    /// (and its frozen fam when the prefix didn't grow).
+    /// Capture the sealed prefix of `ledger`: its segments by `Arc`, and
+    /// `prev`'s frozen fam when the prefix didn't grow.
     pub(crate) fn build(ledger: &LedgerDb, prev: Option<&Arc<ReadSnapshot>>) -> ReadSnapshot {
-        let blocks = &ledger.blocks;
-        let mut segments: Vec<Arc<SealedSegment>> = Vec::with_capacity(blocks.len());
-        if let Some(prev) = prev {
-            let reuse = prev.segments.len().min(blocks.len());
-            segments.extend(prev.segments[..reuse].iter().cloned());
-        }
-        while segments.len() < blocks.len() {
-            let block = blocks[segments.len()].clone();
-            let lo = block.first_jsn as usize;
-            let hi = lo + block.journal_count as usize;
-            let journals: Vec<Journal> = ledger.journals[lo..hi].to_vec();
-            let mut clues: BTreeMap<String, Vec<u64>> = BTreeMap::new();
-            for journal in &journals {
-                for clue in &journal.clues {
-                    clues.entry(clue.clone()).or_default().push(journal.jsn);
-                }
-            }
-            segments.push(Arc::new(SealedSegment { block, journals, clues }));
-        }
-        let journal_count = segments
-            .last()
-            .map(|s| s.block.first_jsn + s.block.journal_count)
-            .unwrap_or(0);
+        let segments = ledger.sealed.clone();
+        let journal_count = sealed_count(&segments);
         // The frozen fam is only consistent with `info` when it covers
-        // exactly the sealed journals. At publish-on-seal time `pending`
+        // exactly the sealed journals. At publish-on-seal time the tail
         // is empty so this always holds; reuse the previous freeze on
         // occult/purge republishes where the prefix didn't move.
         let fam = if ledger.fam.journal_count() == journal_count {
@@ -236,28 +298,14 @@ impl ReadSnapshot {
         self.fam.is_some()
     }
 
-    fn segment_for(&self, jsn: u64) -> Option<&SealedSegment> {
-        let idx = self
-            .segments
-            .partition_point(|s| s.block.first_jsn + s.block.journal_count <= jsn);
-        self.segments.get(idx).map(Arc::as_ref)
-    }
-
     fn journal(&self, jsn: u64) -> Result<&Journal, LedgerError> {
-        self.segment_for(jsn)
-            .and_then(|s| s.journals.get((jsn - s.block.first_jsn) as usize))
-            .ok_or(LedgerError::UnknownJournal(jsn))
+        sealed_journal(&self.segments, jsn).ok_or(LedgerError::UnknownJournal(jsn))
     }
 
     /// Fetch a journal record, enforcing the frozen occult/purge view
     /// (same semantics as [`LedgerDb::get_tx`]).
     pub fn get_tx(&self, jsn: u64) -> Result<&Journal, LedgerError> {
-        if self.occult.is_marked(jsn) {
-            return Err(LedgerError::Occulted(jsn));
-        }
-        if jsn < self.purge_to {
-            return Err(LedgerError::Purged(jsn));
-        }
+        check_retrievable(jsn, self.occult.is_marked(jsn), self.purge_to)?;
         self.journal(jsn)
     }
 
@@ -267,43 +315,12 @@ impl ReadSnapshot {
         Ok(self.store.read(journal.stream_index)?)
     }
 
-    /// jsns recorded under `clue` within the sealed prefix.
-    pub fn list_tx(&self, clue: &str) -> Vec<u64> {
-        let mut out = Vec::new();
-        for segment in &self.segments {
-            if let Some(jsns) = segment.clues.get(clue) {
-                out.extend_from_slice(jsns);
-            }
-        }
-        out
-    }
-
-    /// The receipt π_s for a sealed journal, signed on demand with the
-    /// snapshot's LSP key — byte-identical to the locked path's receipt
-    /// (deterministic ECDSA over identical inputs).
+    /// The receipt π_s for a sealed journal, signed with the snapshot's
+    /// LSP key — byte-identical to the locked path's receipt.
     pub fn receipt(&self, jsn: u64) -> Result<Option<Receipt>, LedgerError> {
-        let Some(segment) = self.segment_for(jsn) else {
-            return Err(LedgerError::UnknownJournal(jsn));
-        };
-        let journal = &segment.journals[(jsn - segment.block.first_jsn) as usize];
-        let block_hash = segment.block.hash();
-        let tx_hash = segment.block.tx_hashes[(jsn - segment.block.first_jsn) as usize];
-        let msg = Receipt::signing_digest(
-            jsn,
-            &journal.request_hash,
-            &tx_hash,
-            &block_hash,
-            journal.timestamp,
-        );
-        Ok(Some(Receipt {
-            jsn,
-            request_hash: journal.request_hash,
-            tx_hash,
-            block_hash,
-            timestamp: journal.timestamp,
-            lsp_pk: *self.lsp_keys.public(),
-            signature: self.lsp_keys.sign(&msg),
-        }))
+        sealed_receipt(&self.segments, &self.lsp_keys, jsn)
+            .map(Some)
+            .ok_or(LedgerError::UnknownJournal(jsn))
     }
 
     /// Produce an existence proof against the frozen fam. The proof
@@ -317,8 +334,8 @@ impl ReadSnapshot {
         let _span = self.metrics.proof_seconds.time("ledger_proof");
         self.metrics.proofs.inc();
         let fam = self.fam.as_deref().ok_or(LedgerError::UnknownJournal(jsn))?;
-        let segment = self.segment_for(jsn).ok_or(LedgerError::UnknownJournal(jsn))?;
-        let tx_hash = segment.block.tx_hashes[(jsn - segment.block.first_jsn) as usize];
+        let tx_hash =
+            sealed_tx_hash(&self.segments, jsn).ok_or(LedgerError::UnknownJournal(jsn))?;
         let proof = fam.prove(jsn, anchor)?;
         Ok((tx_hash, proof))
     }
@@ -378,20 +395,14 @@ impl ReadSnapshot {
 }
 
 /// The shared state connecting a `LedgerDb` (publisher) to its readers:
-/// the current snapshot behind an [`ArcCell`], a lock-free live journal
-/// counter (so `ListTx` can tell whether an unsealed tail exists without
-/// taking the lock).
+/// the current snapshot behind an [`ArcCell`].
 pub struct SnapshotHub {
     cell: ArcCell<ReadSnapshot>,
-    live_journals: AtomicU64,
 }
 
 impl SnapshotHub {
     pub(crate) fn new(initial: ReadSnapshot) -> Self {
-        SnapshotHub {
-            cell: ArcCell::new(Arc::new(initial)),
-            live_journals: AtomicU64::new(0),
-        }
+        SnapshotHub { cell: ArcCell::new(Arc::new(initial)) }
     }
 
     /// The current snapshot (one Arc clone, never the ledger lock).
@@ -408,16 +419,6 @@ impl SnapshotHub {
         ledger.metrics.snapshot_publishes.inc();
         ledger.metrics.snapshot_age_ms.set(0);
         self.cell.store(Arc::new(next));
-    }
-
-    /// Record the live (sealed + unsealed) journal count.
-    pub(crate) fn note_journals(&self, count: u64) {
-        self.live_journals.store(count, Ordering::Release);
-    }
-
-    /// Live journal count as last reported by the kernel.
-    pub fn live_journals(&self) -> u64 {
-        self.live_journals.load(Ordering::Acquire)
     }
 
     /// Count a read served from the snapshot and refresh the age gauge.

@@ -41,7 +41,7 @@ fn main() {
     let mut auditor = LedgerClient::new(*ledger.lsp_public_key(), ledger.fam_delta());
 
     // 1. Sync: download blocks, replay every journal digest locally.
-    let report = auditor.sync(ledger.blocks()).unwrap();
+    let report = auditor.sync(&ledger.blocks().cloned().collect::<Vec<_>>()).unwrap();
     println!(
         "sync: accepted {} blocks / {} journals; replica root {}",
         report.blocks_accepted,
@@ -73,7 +73,7 @@ fn main() {
 
     // 5. The LSP turns malicious: it rewrites one journal in the history
     //    it serves (threat-B). A fresh auditor catches it mid-sync.
-    let mut tampered = ledger.blocks().to_vec();
+    let mut tampered: Vec<_> = ledger.blocks().cloned().collect();
     tampered[4].tx_hashes[3] = sha256(b"the journal the LSP wants you to see");
     let mut fresh_auditor = LedgerClient::new(*ledger.lsp_public_key(), ledger.fam_delta());
     match fresh_auditor.sync(&tampered) {

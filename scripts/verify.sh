@@ -37,12 +37,15 @@ echo "== release suites (torture, crash points, differential oracles) =="
 # integration_persistence: export = checkpoint, import = open_durable.
 # event_loop: hostile slow clients and 4,096 simultaneous connections.
 # trace_pipeline: the traced commit's stage skeleton, in order.
+# prop_clue: the kernel's clue index against the skip-list oracle.
+# block_hash_once: one header hash per block, with a snapshot hub too.
 cargo test --release -q \
   --test torture_recovery --test crash_points --test torture_snapshot \
   --test differential_pipeline --test differential_shard \
   --test differential_state --test differential_servers \
   --test integration_persistence --test prop_bintrie \
-  --test event_loop --test trace_pipeline --test sha256_counter
+  --test event_loop --test trace_pipeline --test sha256_counter \
+  --test prop_clue --test block_hash_once
 
 echo "== profiler assertions (checkpointed restart, lock window) =="
 # The checkpointed reopen loads HEAD and replays at most the

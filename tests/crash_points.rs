@@ -228,7 +228,7 @@ fn every_checkpoint_crash_point_recovers_byte_identical() {
             // no journal lost its payload slot.
             assert_eq!(
                 recovered.journal_count() as usize,
-                recovered.blocks().iter().map(|b| b.journal_count as usize).sum::<usize>()
+                recovered.blocks().map(|b| b.journal_count as usize).sum::<usize>()
                     + recovered.pending_journals() as usize,
                 "op {op}: blocks + pending cover every journal"
             );

@@ -6,6 +6,7 @@
 //! verification structure intact, and forged, tampered or truncated
 //! exports are rejected.
 
+use ledgerdb::core::checkpoint::decode_cm;
 use ledgerdb::core::recovery::{open_durable, recover_with_checkpoint, CHECKPOINT_DIR, PAYLOAD_FILE};
 use ledgerdb::core::{
     audit_ledger, AuditConfig, Block, CheckpointManifest, Journal, LedgerConfig, LedgerDb,
@@ -14,7 +15,8 @@ use ledgerdb::core::{
 use ledgerdb::crypto::ca::{CertificateAuthority, Role};
 use ledgerdb::crypto::keys::KeyPair;
 use ledgerdb::crypto::multisig::MultiSignature;
-use ledgerdb::crypto::wire::Wire;
+use ledgerdb::crypto::wire::{Wire, Writer};
+use ledgerdb::crypto::Digest;
 use ledgerdb::storage::checkpoint::{CheckpointStore, CkptIo};
 use ledgerdb::storage::stream::{FileStreamStore, MemoryStreamStore, StreamStore};
 use ledgerdb::storage::FsyncPolicy;
@@ -168,6 +170,32 @@ fn forge_journals(dir: &Path, edit: impl Fn(&mut Vec<Journal>)) {
     );
 }
 
+/// Rewrite only the decoded `cm` segment: each clue's CM-Tree2 node
+/// storage and jsn references.
+fn forge_cm(dir: &Path, edit: impl Fn(&str, &mut Vec<Digest>, &mut Vec<u64>)) {
+    forge(
+        dir,
+        |role, bytes| {
+            if role != "cm" {
+                return bytes;
+            }
+            let parts = decode_cm(&bytes).unwrap();
+            let mut w = Writer::new();
+            w.put_u64(parts.len() as u64);
+            for (clue, subtree, mut refs) in parts {
+                let mut nodes = subtree.nodes().to_vec();
+                edit(&clue, &mut nodes, &mut refs);
+                clue.encode(&mut w);
+                w.put_u64(subtree.leaf_count());
+                nodes.encode(&mut w);
+                refs.encode(&mut w);
+            }
+            w.into_bytes()
+        },
+        |_| {},
+    );
+}
+
 #[test]
 fn round_trip_preserves_roots_and_proofs() {
     let mut w = world("roundtrip");
@@ -311,6 +339,33 @@ fn tampered_export_rejected() {
         |_| {},
     );
     assert_rejected(&dir, "chain link broken");
+
+    // The clue index names the wrong journals. No root commits to the
+    // CM-Tree's jsn references, so only their re-derivation from the
+    // journals catches these: swapped within one clue, and pointing
+    // past the last journal.
+    let dir = tampered("clue-refs-swapped");
+    forge_cm(&dir, |clue, _, refs| {
+        if clue == "c0" {
+            refs.swap(0, 1);
+        }
+    });
+    assert_rejected(&dir, "clue index for 'c0' does not match its journals");
+    let dir = tampered("clue-ref-past-end");
+    forge_cm(&dir, |clue, _, refs| {
+        if clue == "c1" {
+            *refs.last_mut().unwrap() = 12 + 100;
+        }
+    });
+    assert_rejected(&dir, "clue index for 'c1' does not match its journals");
+    // A CM-Tree2 leaf that is not its journal's tx-hash.
+    let dir = tampered("clue-leaf");
+    forge_cm(&dir, |clue, nodes, _| {
+        if clue == "c2" {
+            nodes[0] = ledgerdb::crypto::sha256(b"evil");
+        }
+    });
+    assert_rejected(&dir, "clue 'c2' leaf 0 is not its journal's tx hash");
 
     // A manifest claiming roots its segments do not re-derive to.
     let dir = tampered("manifest-root");

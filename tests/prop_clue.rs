@@ -1,6 +1,7 @@
 //! Property-based tests for the clue layer: CM-Tree vs ccMPT agreement,
-//! lineage completeness, and proof tamper-resistance under arbitrary
-//! workloads.
+//! lineage completeness, proof tamper-resistance under arbitrary
+//! workloads, and the ledger kernel's clue index against the skip-list
+//! oracle.
 //!
 //! Cases come from the deterministic in-repo harness
 //! (`ledgerdb_bench::cases`); see that module for the seeding scheme.
@@ -11,8 +12,18 @@ use ledgerdb::accumulator::AccumulatorError;
 use ledgerdb::clue::cm_tree::{ClueProof, CmTree};
 use ledgerdb::clue::csl::ClueSkipList;
 use ledgerdb::clue::ClueError;
+use ledgerdb::core::recovery::recover_with_checkpoint;
+use ledgerdb::core::{LedgerConfig, LedgerDb, MemberRegistry, OccultMode, TxRequest};
+use ledgerdb::crypto::ca::{CertificateAuthority, Role};
+use ledgerdb::crypto::keys::KeyPair;
+use ledgerdb::crypto::multisig::MultiSignature;
 use ledgerdb::crypto::{hash_leaf, Digest};
+use ledgerdb::storage::checkpoint::{CheckpointStore, CkptIo};
+use ledgerdb::storage::stream::{MemoryStreamStore, StreamStore};
+use ledgerdb::telemetry::Registry;
+use ledgerdb::timesvc::clock::SimClock;
 use ledgerdb_bench::cases::{run_cases, Gen};
+use std::sync::Arc;
 
 /// A workload: journal i belongs to clue `assignments[i]` (small alphabet
 /// so clues collide heavily).
@@ -211,5 +222,110 @@ fn csl_range_consistency() {
             let expect: Vec<u64> = all.iter().copied().filter(|&j| j >= lo && j <= hi).collect();
             assert_eq!(csl.range(clue, lo, hi), expect);
         }
+    });
+}
+
+/// The kernel's `ListTx` (the CM-Tree's jsn references) agrees with a
+/// skip list fed the same appends, through seals, an occult-by-clue, a
+/// purge and a checkpoint export/import.
+#[test]
+fn kernel_list_tx_matches_skip_list_oracle() {
+    const CLUES: [&str; 5] = ["c0", "c1", "c2", "c3", "c4"];
+    let ca = CertificateAuthority::from_seed(b"oracle-ca");
+    let alice = KeyPair::from_seed(b"oracle-alice");
+    let dba = KeyPair::from_seed(b"oracle-dba");
+    let regulator = KeyPair::from_seed(b"oracle-reg");
+    let mut registry = MemberRegistry::new(*ca.public_key());
+    registry.register(ca.issue("alice", Role::User, alice.public())).unwrap();
+    registry.register(ca.issue("dba", Role::Dba, dba.public())).unwrap();
+    registry.register(ca.issue("reg", Role::Regulator, regulator.public())).unwrap();
+    let approve = |digest: &Digest, keys: [&KeyPair; 2]| {
+        let mut ms = MultiSignature::new();
+        for k in keys {
+            ms.add(k, digest);
+        }
+        ms
+    };
+
+    run_cases("kernel list_tx matches skip list oracle", 8, |g| {
+        let block_size = g.in_range(1..=5);
+        let config = || LedgerConfig {
+            block_size,
+            fam_delta: 4,
+            name: "oracle".into(),
+            state_backend: Default::default(),
+        };
+        let payloads: Arc<dyn StreamStore> = Arc::new(MemoryStreamStore::new());
+        let wal: Arc<dyn StreamStore> = Arc::new(MemoryStreamStore::new());
+        let mut ledger = LedgerDb::with_durability(
+            config(),
+            registry.clone(),
+            Arc::clone(&payloads),
+            Arc::clone(&wal),
+            Arc::new(SimClock::new()),
+        );
+        let mut oracle = ClueSkipList::new();
+        let agree = |ledger: &LedgerDb, oracle: &ClueSkipList, when: &str| {
+            for clue in CLUES.iter().chain(&["absent"]) {
+                assert_eq!(ledger.list_tx(clue), oracle.list(clue), "{when}: clue {clue}");
+            }
+        };
+
+        let appends = g.in_range(8..=32);
+        for i in 0..appends {
+            // Zero to two distinct clues per journal.
+            let mut clues: Vec<String> = Vec::new();
+            for _ in 0..g.below(3) {
+                let clue = g.choose(&CLUES).to_string();
+                if !clues.contains(&clue) {
+                    clues.push(clue);
+                }
+            }
+            let req = TxRequest::signed(&alice, i.to_be_bytes().to_vec(), clues.clone(), i);
+            let jsn = ledger.append(req).unwrap().jsn;
+            for clue in &clues {
+                oracle.append(clue, jsn);
+            }
+            if g.below(4) == 0 {
+                ledger.seal_block();
+            }
+        }
+        agree(&ledger, &oracle, "after appends");
+
+        let hidden = *g.choose(&CLUES);
+        if !oracle.list(hidden).is_empty() {
+            let digest = ledger.occult_clue_approval_digest(hidden);
+            let (_, targets) = ledger
+                .occult_by_clue(hidden, approve(&digest, [&dba, &regulator]), OccultMode::Async)
+                .unwrap();
+            assert_eq!(targets, oracle.list(hidden), "occult-by-clue hides the oracle's jsns");
+        }
+        let purge_to = g.in_range(1..=ledger.journal_count());
+        let digest = ledger.purge_approval_digest(purge_to);
+        ledger.purge(purge_to, approve(&digest, [&dba, &alice]), &[], false).unwrap();
+        agree(&ledger, &oracle, "after occult and purge");
+
+        ledger.seal_block();
+        let dir = std::env::temp_dir().join(format!(
+            "ledgerdb-prop-clue-{}-{}",
+            std::process::id(),
+            g.u64()
+        ));
+        let store = Arc::new(CheckpointStore::open(&dir).unwrap());
+        ledger.enable_checkpoints(Arc::clone(&store), Arc::new(CkptIo::new()), u64::MAX);
+        ledger.checkpoint_now().unwrap().expect("a sealed ledger checkpoints");
+        let (restored, report) = recover_with_checkpoint(
+            config(),
+            registry.clone(),
+            payloads,
+            wal,
+            Arc::new(SimClock::new()),
+            &Registry::new(),
+            Some(&store),
+        )
+        .unwrap();
+        assert!(report.checkpoint.is_some(), "import loads the checkpoint");
+        agree(&restored, &oracle, "after checkpoint import");
+        std::fs::remove_dir_all(&dir).ok();
     });
 }
