@@ -168,13 +168,6 @@ impl FamTree {
         hash_leaf(root.as_bytes())
     }
 
-    /// Parallel-seal hook, uniform with the MPT/CM-Tree ones. Shrubs
-    /// hashes eagerly at append — every parent node is computed the
-    /// moment its children exist — so there is no deferred work to fan
-    /// out and this is a no-op kept so the seal path treats all three
-    /// commitment structures identically.
-    pub fn hash_subtrees_with(&self, _pool: &ledgerdb_pool::Pool) {}
-
     /// Append a journal digest; returns its jsn.
     pub fn append(&mut self, digest: Digest) -> u64 {
         if self.current.leaf_count() == self.epoch_capacity() {

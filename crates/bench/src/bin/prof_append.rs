@@ -11,7 +11,8 @@
 //! * `wal`     — the durability barrier (fsync time inside the locked
 //!   call, read back from `storage_fsync_seconds`);
 //! * `seal`    — block seal: fam/CM-Tree/MPT root recompute + seal WAL
-//!   record (pool-parallel subtree hashing with `--workers > 1`).
+//!   record, serial on the thread that holds the write lock whatever
+//!   `--workers` says.
 //!
 //! The crypto work counters ([`ledgerdb_crypto::counters`]) are sampled
 //! around every stage, and two properties of the locked window are
@@ -102,7 +103,6 @@ fn run_staged(
     )
     .expect("open profiling ledger");
     let shared = SharedLedger::new(ledger);
-    shared.set_pool(pool.cloned());
 
     // Stage 1 — verify (off-lock): π_c + membership, snapshot-served.
     let (_, verify_s, verify_sha, verify_ecdsa) = staged(|| match pool {

@@ -19,9 +19,8 @@
 //!
 //! Subtree hashes are memoized per node (`OnceLock`), and inserts
 //! rebuild only the descent path, so across seals the unchanged
-//! subtrees are never re-hashed. `hash_subtrees_with` exposes the same
-//! dirty-frontier parallel hashing hook the seal pipeline uses for the
-//! MPT.
+//! subtrees are never re-hashed: a seal re-hashes only the paths its
+//! block touched, on the thread that holds the ledger's write lock.
 
 pub mod proof;
 pub mod trie;

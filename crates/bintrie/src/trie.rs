@@ -5,7 +5,6 @@ use crate::proof::BinProof;
 use crate::BinTrieError;
 use ledgerdb_crypto::digest::Digest;
 use ledgerdb_crypto::sha256::{sha256, Sha256};
-use ledgerdb_pool::Pool;
 use std::sync::OnceLock;
 
 /// Bytes of a child hash a parent branch commits to (truncated link).
@@ -57,10 +56,6 @@ impl Node {
                 branch_hash(*bit, &link(&left.hash()), &link(&right.hash()))
             }
         })
-    }
-
-    fn cached_hash(&self) -> Option<&Digest> {
-        self.hash.get()
     }
 }
 
@@ -308,35 +303,6 @@ impl BinTrie {
         }
     }
 
-    /// Pre-hash dirty subtrees on `pool` so the subsequent
-    /// [`root_hash`](Self::root_hash) only combines cached results.
-    /// Mirrors `Mpt::hash_subtrees_with`: collect the dirty frontier a
-    /// few levels down, then fan chunks out to the workers. The binary
-    /// fan-out needs a deeper frontier than the 16-ary trie to expose
-    /// comparable task counts.
-    pub fn hash_subtrees_with(&self, pool: &Pool) {
-        const FRONTIER_DEPTH: u32 = 10;
-        let Some(root) = &self.root else { return };
-        let mut frontier: Vec<&Node> = Vec::new();
-        collect_dirty_frontier(root, FRONTIER_DEPTH, &mut frontier);
-        if frontier.len() < 2 {
-            if let Some(n) = frontier.first() {
-                n.hash();
-            }
-            return;
-        }
-        let chunk = frontier.len().div_ceil(pool.workers().max(1) * 4).max(1);
-        pool.scope(|s| {
-            for nodes in frontier.chunks(chunk) {
-                s.spawn(move || {
-                    for n in nodes {
-                        n.hash();
-                    }
-                });
-            }
-        });
-    }
-
     /// Build a witness for `key`: inclusion if present, absence
     /// otherwise. Both shapes carry the leaf actually reached by
     /// routing plus one [`LINK_LEN`]-byte sibling link per branch,
@@ -391,31 +357,6 @@ fn first_diff_bit(a: &[u8; 32], b: &[u8; 32]) -> Option<u32> {
         }
     }
     None
-}
-
-/// Walk `depth` levels down, collecting the roots of dirty subtrees.
-/// A node with a cached hash is clean (so is everything below it).
-fn collect_dirty_frontier<'a>(node: &'a Node, depth: u32, out: &mut Vec<&'a Node>) {
-    if node.cached_hash().is_some() {
-        return;
-    }
-    if depth == 0 {
-        out.push(node);
-        return;
-    }
-    match &node.kind {
-        NodeKind::Leaf { .. } => out.push(node),
-        NodeKind::Branch { left, right, .. } => {
-            let before = out.len();
-            collect_dirty_frontier(left, depth - 1, out);
-            collect_dirty_frontier(right, depth - 1, out);
-            if out.len() == before {
-                // Children all clean but this spine is dirty: hash it
-                // here (cheap — combines two cached links).
-                out.push(node);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -496,27 +437,5 @@ mod tests {
         }
         let expect: Vec<_> = model.into_iter().collect();
         assert_eq!(t.entries(), expect);
-    }
-
-    #[test]
-    fn parallel_subtree_hashing_matches_serial_root() {
-        let mut serial = BinTrie::new();
-        let mut parallel = BinTrie::new();
-        for n in 0..500u64 {
-            let (k, v) = keyed(n);
-            serial.insert(&k, v.clone());
-            parallel.insert(&k, v);
-        }
-        let pool = Pool::new(4);
-        parallel.hash_subtrees_with(&pool);
-        assert_eq!(parallel.root_hash(), serial.root_hash());
-        // Incremental reseal: touch a few keys, re-fan, same answer.
-        for n in [3u64, 250, 499] {
-            let (k, _) = keyed(n);
-            serial.insert(&k, b"touched".to_vec());
-            parallel.insert(&k, b"touched".to_vec());
-        }
-        parallel.hash_subtrees_with(&pool);
-        assert_eq!(parallel.root_hash(), serial.root_hash());
     }
 }

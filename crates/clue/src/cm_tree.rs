@@ -146,14 +146,6 @@ impl CmTree {
         self.mpt.root_hash()
     }
 
-    /// Warm dirty CM-Tree1 node digests across `pool` so a following
-    /// [`CmTree::root`] is a cache walk. CM-Tree2 (Shrubs) hashes
-    /// eagerly at append, so the MPT is the only lazy hashing here;
-    /// see [`Mpt::hash_subtrees_with`] for the determinism argument.
-    pub fn hash_subtrees_with(&self, pool: &ledgerdb_pool::Pool) {
-        self.mpt.hash_subtrees_with(pool);
-    }
-
     /// Capture the frozen root summary for the snapshot read path.
     pub fn snapshot_root(&self) -> CmRoot {
         CmRoot {

@@ -178,10 +178,6 @@ pub struct LedgerDb {
     /// [`crate::SharedLedger::new`]. `None` for standalone ledgers —
     /// every snapshot hook is then a no-op.
     pub(crate) snapshot_hub: Option<Arc<crate::snapshot::SnapshotHub>>,
-    /// Compute pool for the seal fan-out. `None` (the default) keeps
-    /// every path serial; installing a pool changes scheduling only —
-    /// all digests are pure, so roots are byte-identical either way.
-    pub(crate) pool: Option<Arc<ledgerdb_pool::Pool>>,
     /// Automatic checkpoint policy ([`LedgerDb::enable_checkpoints`]).
     pub(crate) checkpoints: Option<CheckpointPolicy>,
 }
@@ -227,21 +223,8 @@ impl LedgerDb {
             durability_error: None,
             metrics: crate::metrics::CoreMetrics::default(),
             snapshot_hub: None,
-            pool: None,
             checkpoints: None,
         }
-    }
-
-    /// Install a compute pool: seal-time subtree hashing fans out across
-    /// it. Pass `None` to return to the serial baseline. Determinism is
-    /// unaffected (see [`ledgerdb_mpt::Mpt::hash_subtrees_with`]).
-    pub fn set_pool(&mut self, pool: Option<Arc<ledgerdb_pool::Pool>>) {
-        self.pool = pool;
-    }
-
-    /// The installed compute pool, if any.
-    pub fn pool(&self) -> Option<&Arc<ledgerdb_pool::Pool>> {
-        self.pool.as_ref()
     }
 
     /// Install (or fetch) the snapshot publication hub: captures the
@@ -870,78 +853,33 @@ impl LedgerDb {
     }
 
     /// Compute the three `LedgerInfo` roots for a seal, timing each
-    /// stage.
-    ///
-    /// With a pool installed, the three commitment structures hash
-    /// concurrently: fam, CM-Tree and world state share no nodes, so
-    /// their digest work is independent until this function combines
-    /// the roots. Each leg only *warms* memo cells with pure,
-    /// order-independent values (`hash_subtrees_with`), then reads its
-    /// root — byte-identical to the serial path by construction. The
-    /// world-state leg additionally fans its own dirty subtrees out
-    /// across the pool (a nested scope; the pool's helping join makes
-    /// that safe on any worker count).
+    /// stage. Runs on the thread that holds the write lock: each root
+    /// re-hashes only the few paths a block dirtied, so there is no
+    /// work here worth handing to another thread.
     fn seal_roots(&self) -> LedgerInfo {
-        use ledgerdb_telemetry::trace::{self, StageSpan};
+        use ledgerdb_telemetry::trace::StageSpan;
         let m = &self.metrics;
-        let fam = &self.fam;
-        let cm = &self.cm_tree;
-        let ws = &self.world_state;
-        let mut journal_root = Digest::ZERO;
-        let mut clue_root = Digest::ZERO;
-        let mut state_root = Digest::ZERO;
-        // Each leg may run on a pool worker whose thread-local scope is
-        // empty; re-install the sealing request's scope inside the
-        // closure so the leg spans land in the right trace(s).
-        let scope = trace::current_scope();
-        match &self.pool {
-            Some(pool) => pool.scope(|s| {
-                s.spawn(|| {
-                    let _scope = scope.clone().map(trace::install);
-                    let _leg = StageSpan::begin("seal_fam");
-                    let t = std::time::Instant::now();
-                    fam.hash_subtrees_with(pool);
-                    journal_root = fam.root();
-                    m.seal_fam_seconds.observe_duration(t.elapsed());
-                });
-                s.spawn(|| {
-                    let _scope = scope.clone().map(trace::install);
-                    let _leg = StageSpan::begin("seal_clue");
-                    let t = std::time::Instant::now();
-                    cm.hash_subtrees_with(pool);
-                    clue_root = cm.root();
-                    m.seal_clue_seconds.observe_duration(t.elapsed());
-                });
-                s.spawn(|| {
-                    let _scope = scope.clone().map(trace::install);
-                    let _leg = StageSpan::begin("seal_state");
-                    let t = std::time::Instant::now();
-                    ws.warm_subtrees(pool);
-                    state_root = ws.commitment_root();
-                    m.seal_state_seconds.observe_duration(t.elapsed());
-                });
-            }),
-            None => {
-                {
-                    let _leg = StageSpan::begin("seal_fam");
-                    let t = std::time::Instant::now();
-                    journal_root = fam.root();
-                    m.seal_fam_seconds.observe_duration(t.elapsed());
-                }
-                {
-                    let _leg = StageSpan::begin("seal_clue");
-                    let t = std::time::Instant::now();
-                    clue_root = cm.root();
-                    m.seal_clue_seconds.observe_duration(t.elapsed());
-                }
-                {
-                    let _leg = StageSpan::begin("seal_state");
-                    let t = std::time::Instant::now();
-                    state_root = ws.commitment_root();
-                    m.seal_state_seconds.observe_duration(t.elapsed());
-                }
-            }
-        }
+        let journal_root = {
+            let _leg = StageSpan::begin("seal_fam");
+            let t = std::time::Instant::now();
+            let root = self.fam.root();
+            m.seal_fam_seconds.observe_duration(t.elapsed());
+            root
+        };
+        let clue_root = {
+            let _leg = StageSpan::begin("seal_clue");
+            let t = std::time::Instant::now();
+            let root = self.cm_tree.root();
+            m.seal_clue_seconds.observe_duration(t.elapsed());
+            root
+        };
+        let state_root = {
+            let _leg = StageSpan::begin("seal_state");
+            let t = std::time::Instant::now();
+            let root = self.world_state.commitment_root();
+            m.seal_state_seconds.observe_duration(t.elapsed());
+            root
+        };
         LedgerInfo { journal_root, clue_root, state_root }
     }
 

@@ -20,10 +20,9 @@ pub struct CoreMetrics {
     pub batch_commit_seconds: Arc<Histogram>,
     /// `ledger_seals_total` — blocks sealed.
     pub seals: Arc<Counter>,
-    /// Per-stage seal timings. The three commitment structures are
-    /// hashed independently at seal (serially or fanned out across the
-    /// worker pool); these histograms attribute the seal cost either
-    /// way, so an A/B run can compare stage shapes directly.
+    /// Per-stage seal timings: the three commitment structures are
+    /// hashed in turn at seal, and these histograms attribute the seal
+    /// cost to each.
     /// `ledger_seal_fam_seconds` / `ledger_seal_clue_seconds` /
     /// `ledger_seal_state_seconds`.
     pub seal_fam_seconds: Arc<Histogram>,

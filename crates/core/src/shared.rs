@@ -152,12 +152,6 @@ impl SharedLedger {
         }
     }
 
-    /// Install (or clear) the seal-time compute pool on the underlying
-    /// ledger; see [`LedgerDb::set_pool`].
-    pub fn set_pool(&self, pool: Option<Arc<Pool>>) {
-        self.inner.write().set_pool(pool);
-    }
-
     /// Seal the pending block. Infallible: a WAL failure is stashed as
     /// the sticky durability error — use [`SharedLedger::try_seal_block`]
     /// (or check [`SharedLedger::take_durability_error`]) on paths that

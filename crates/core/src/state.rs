@@ -20,7 +20,6 @@ use ledgerdb_bintrie::{verify_bin_proof, BinProof, BinTrie};
 use ledgerdb_crypto::digest::Digest;
 use ledgerdb_crypto::wire::{Reader, Wire, WireError, Writer};
 use ledgerdb_mpt::{verify_absence, verify_proof, Mpt, MptAbsenceProof, MptProof};
-use ledgerdb_pool::Pool;
 use std::fmt;
 use std::str::FromStr;
 
@@ -63,9 +62,8 @@ impl FromStr for StateBackend {
 }
 
 /// What a state commitment must provide to the ledger kernel: keyed
-/// upserts, a root digest, inclusion *and* absence witnesses, the
-/// dirty-frontier parallel hashing hook the seal pipeline fans out
-/// over, and canonical entries for checkpoint segments.
+/// upserts, a root digest, inclusion *and* absence witnesses, and
+/// canonical entries for checkpoint segments.
 pub trait StateCommitment {
     /// Insert or replace `key → value`; returns the previous value.
     fn insert_kv(&mut self, key: &[u8], value: Vec<u8>) -> Option<Vec<u8>>;
@@ -76,10 +74,6 @@ pub trait StateCommitment {
     /// Build a witness: inclusion if the key is present, absence
     /// otherwise. Wire-codable; verified by [`verify_state_proof`].
     fn prove_kv(&self, key: &[u8]) -> StateProof;
-    /// Warm dirty-subtree hash memos across `pool` so the subsequent
-    /// [`commitment_root`](Self::commitment_root) is cheap. Purely an
-    /// optimization: roots are byte-identical whether or not this ran.
-    fn warm_subtrees(&self, pool: &Pool);
     /// All `(key, value)` pairs sorted by key bytes — the canonical
     /// checkpoint-segment order, identical across backends.
     fn canonical_entries(&self) -> Vec<(Vec<u8>, Vec<u8>)>;
@@ -106,10 +100,6 @@ impl StateCommitment for Mpt {
         } else {
             StateProof::MptAbsent(self.prove_absence(key).expect("absent key must prove absence"))
         }
-    }
-
-    fn warm_subtrees(&self, pool: &Pool) {
-        self.hash_subtrees_with(pool);
     }
 
     fn canonical_entries(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
@@ -141,10 +131,6 @@ impl StateCommitment for BinTrie {
         } else {
             StateProof::BinAbsent(proof)
         }
-    }
-
-    fn warm_subtrees(&self, pool: &Pool) {
-        self.hash_subtrees_with(pool);
     }
 
     fn canonical_entries(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
@@ -208,13 +194,6 @@ impl StateCommitment for WorldState {
         match self {
             WorldState::Mpt(t) => t.prove_kv(key),
             WorldState::Bin(t) => t.prove_kv(key),
-        }
-    }
-
-    fn warm_subtrees(&self, pool: &Pool) {
-        match self {
-            WorldState::Mpt(t) => t.warm_subtrees(pool),
-            WorldState::Bin(t) => t.warm_subtrees(pool),
         }
     }
 

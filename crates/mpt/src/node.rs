@@ -60,13 +60,6 @@ impl Node {
         })
     }
 
-    /// The memoized digest if already computed, without computing it.
-    /// Used by the parallel seal path to skip clean subtrees when
-    /// collecting dirty frontiers.
-    pub fn cached_hash(&self) -> Option<Digest> {
-        self.hash.get().copied()
-    }
-
     /// A compact, child-digest-level encoding of this node for proofs:
     /// the same bytes [`Node::hash`] consumes, so a verifier can re-hash
     /// proof nodes without seeing whole subtrees.

@@ -41,45 +41,6 @@ impl Mpt {
         self.root.as_ref().map(|n| n.hash()).unwrap_or(Digest::ZERO)
     }
 
-    /// Hash dirty subtrees across `pool`, leaving [`Mpt::root_hash`] an
-    /// O(depth) cache walk afterwards.
-    ///
-    /// Inserts rebuild the descent path with empty digest caches while
-    /// untouched subtrees keep theirs, so after a batch of inserts the
-    /// dirty region is a shallow cone from the root down to the touched
-    /// leaves. This walks a few levels deep, collects the roots of
-    /// still-uncached subtrees, and warms their [`Node::hash`] memos in
-    /// parallel. Determinism is structural: every task computes a pure
-    /// function of its own subtree into that subtree's `OnceLock`, so
-    /// scheduling order cannot influence any digest — the subsequent
-    /// serial `root_hash()` combines identical bytes in identical order
-    /// whether or not this ran. Calling it is purely an optimization;
-    /// skipping it (the serial baseline) yields the same root.
-    pub fn hash_subtrees_with(&self, pool: &ledgerdb_pool::Pool) {
-        const FRONTIER_DEPTH: u32 = 3;
-        let Some(root) = &self.root else { return };
-        let mut frontier: Vec<&Node> = Vec::new();
-        collect_dirty_frontier(root, FRONTIER_DEPTH, &mut frontier);
-        if frontier.len() < 2 {
-            // One dirty cone (or none): parallelism has nothing to split.
-            if let Some(n) = frontier.first() {
-                n.hash();
-            }
-            return;
-        }
-        // Chunk so task count tracks worker count, not node count.
-        let chunk = frontier.len().div_ceil(pool.workers().max(1) * 4).max(1);
-        pool.scope(|s| {
-            for nodes in frontier.chunks(chunk) {
-                s.spawn(move || {
-                    for n in nodes {
-                        n.hash();
-                    }
-                });
-            }
-        });
-    }
-
     /// Insert or replace `key → value`. Returns the previous value.
     pub fn insert(&mut self, key: &[u8], value: Vec<u8>) -> Option<Vec<u8>> {
         let nibbles = to_nibbles(key);
@@ -403,40 +364,6 @@ impl Mpt {
     }
 }
 
-/// Collect roots of uncached subtrees, descending at most `depth`
-/// levels. A node with a filled digest cache is clean — so is its whole
-/// subtree (caches fill bottom-up) — and is skipped entirely.
-fn collect_dirty_frontier<'t>(node: &'t Node, depth: u32, out: &mut Vec<&'t Node>) {
-    if node.cached_hash().is_some() {
-        return;
-    }
-    if depth == 0 {
-        out.push(node);
-        return;
-    }
-    match &node.kind {
-        NodeKind::Branch { children, .. } => {
-            let before = out.len();
-            for child in children.iter().flatten() {
-                collect_dirty_frontier(child, depth - 1, out);
-            }
-            if out.len() == before {
-                // All children clean (or absent): this node itself is
-                // the remaining unit of work.
-                out.push(node);
-            }
-        }
-        NodeKind::Extension { child, .. } => {
-            let before = out.len();
-            collect_dirty_frontier(child, depth - 1, out);
-            if out.len() == before {
-                out.push(node);
-            }
-        }
-        NodeKind::Leaf { .. } => out.push(node),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -473,35 +400,6 @@ mod tests {
         let r2 = t.root_hash();
         assert_ne!(r0, r1);
         assert_ne!(r1, r2);
-    }
-
-    #[test]
-    fn parallel_subtree_hashing_matches_serial_root() {
-        let pool = ledgerdb_pool::Pool::with_registry(
-            3,
-            &ledgerdb_telemetry::Registry::new(),
-        );
-        for n in [0u64, 1, 2, 17, 200] {
-            let mut serial = Mpt::new();
-            let mut pooled = Mpt::new();
-            for i in 0..n {
-                let k = sha3_256(&i.to_be_bytes());
-                serial.insert(k.as_bytes(), k.0.to_vec());
-                pooled.insert(k.as_bytes(), k.0.to_vec());
-            }
-            let want = serial.root_hash();
-            pooled.hash_subtrees_with(&pool);
-            assert_eq!(pooled.root_hash(), want, "n={n}");
-            // Warming twice (now fully cached) is a no-op.
-            pooled.hash_subtrees_with(&pool);
-            assert_eq!(pooled.root_hash(), want, "n={n} rewarm");
-            // Incremental: dirty a path, warm, compare again.
-            let k = sha3_256(b"extra");
-            serial.insert(k.as_bytes(), b"x".to_vec());
-            pooled.insert(k.as_bytes(), b"x".to_vec());
-            pooled.hash_subtrees_with(&pool);
-            assert_eq!(pooled.root_hash(), serial.root_hash(), "n={n} incr");
-        }
     }
 
     #[test]

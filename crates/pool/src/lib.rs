@@ -1,10 +1,10 @@
 //! A std-only work-stealing worker pool for the append/proof pipeline.
 //!
-//! The write path of a verifiable ledger is CPU-bound in three places —
-//! admission ECDSA, journal digesting, and subtree hashing at seal time
-//! — and all three decompose into independent units whose *results* are
+//! The request-wide work of a verifiable ledger — admission ECDSA and
+//! payload digesting for a batch of appends, proofs for a batch of
+//! reads — decomposes into independent units whose *results* are
 //! order-insensitive (digests are pure functions of their inputs). This
-//! pool gives the rest of the workspace one primitive for all of them:
+//! pool gives the rest of the workspace one primitive for both:
 //!
 //! * [`Pool::scope`] — structured fork/join over borrowed data: every
 //!   task spawned inside the scope completes before `scope` returns,
@@ -14,13 +14,13 @@
 //!   order, and `try_map` converts a per-item panic into a typed
 //!   [`TaskPanic`] instead of poisoning the batch;
 //! * helping joins — a thread waiting on its scope *executes queued
-//!   tasks* instead of sleeping, so nested scopes (a seal fan-out whose
-//!   legs fan out again inside the tree crates) cannot deadlock even on
-//!   a single-worker pool.
+//!   tasks* instead of sleeping, and a `try_map` caller claims items
+//!   itself, so a map keeps making progress while every worker is busy
+//!   on another caller's batch, even on a single-worker pool.
 //!
 //! Tasks are pushed round-robin across per-worker queues and idle
-//! workers steal from their siblings, so one long task (a 256-leaf
-//! subtree rehash) does not strand the short ones queued behind it.
+//! workers steal from their siblings, so one long task (a large
+//! payload's digest) does not strand the short ones queued behind it.
 //!
 //! Telemetry: `ledger_pool_tasks_total`, `ledger_pool_queue_depth`,
 //! `ledger_pool_panics_total`, `ledger_pool_workers`.
@@ -31,7 +31,7 @@ use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -250,23 +250,9 @@ impl Pool {
         Arc::new(Pool { inner, handles: Mutex::new(handles) })
     }
 
-    /// The process-wide pool, sized from `available_parallelism`.
-    pub fn global() -> &'static Arc<Pool> {
-        static GLOBAL: OnceLock<Arc<Pool>> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let n = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-            Pool::new(n)
-        })
-    }
-
     /// Worker-thread count (the scope/map caller helps on top of this).
     pub fn workers(&self) -> usize {
         self.inner.queues.len()
-    }
-
-    /// Fire-and-forget execution of an owned task.
-    pub fn spawn(&self, f: impl FnOnce() + Send + 'static) {
-        self.inner.push(Box::new(f));
     }
 
     /// Structured fork/join: run `f` with a [`Scope`] whose spawned
@@ -528,22 +514,5 @@ mod tests {
         assert!(pool.inner.tasks_total.get() >= 1, "helping may run some tasks inline");
         assert_eq!(pool.inner.queue_depth.get(), 0);
         assert_eq!(registry.gauge("ledger_pool_workers").get(), 2);
-    }
-
-    #[test]
-    fn spawn_fire_and_forget_runs() {
-        let pool = Pool::with_registry(2, &Registry::new());
-        let flag = Arc::new(AtomicU64::new(0));
-        let f2 = flag.clone();
-        pool.spawn(move || {
-            f2.store(7, Ordering::SeqCst);
-        });
-        for _ in 0..1000 {
-            if flag.load(Ordering::SeqCst) == 7 {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        panic!("spawned task never ran");
     }
 }

@@ -117,29 +117,13 @@ pub struct GroupCommitter {
 
 impl GroupCommitter {
     /// Spawn the committer thread over a shared ledger, recording into
-    /// the process-global telemetry registry.
-    pub fn start(shared: SharedLedger, config: BatchConfig, admission: Admission) -> Self {
-        Self::start_with(shared, config, admission, Registry::global())
-    }
-
-    /// As [`GroupCommitter::start`], recording into an explicit registry.
-    pub fn start_with(
-        shared: SharedLedger,
-        config: BatchConfig,
-        admission: Admission,
-        registry: &Registry,
-    ) -> Self {
-        Self::start_with_pool(shared, config, admission, registry, None)
-    }
-
-    /// As [`GroupCommitter::start_with`], with an optional compute
-    /// pool: each commit window's digest precompute fans out across it
-    /// (inline on the committer thread otherwise) *before* the write
-    /// lock is taken. π_c was already checked at
-    /// [`GroupCommitter::submit`], so the off-lock stage hashes only;
-    /// the locked window is structural inserts plus one WAL write.
-    /// Results are byte-identical with or without a pool.
-    pub fn start_with_pool(
+    /// `registry`. With a compute pool, each commit window's digest
+    /// precompute fans out across it (inline on the committer thread
+    /// otherwise) *before* the write lock is taken. π_c was already
+    /// checked at [`GroupCommitter::submit`], so the off-lock stage
+    /// hashes only; the locked window is structural inserts plus one
+    /// WAL write. Results are byte-identical with or without a pool.
+    pub fn start(
         shared: SharedLedger,
         config: BatchConfig,
         admission: Admission,
@@ -297,8 +281,7 @@ fn commit_batch(
     let _commit_span = metrics.commit_seconds.time("batch_commit");
     let window: Vec<(TxRequest, bool)> =
         jobs.iter().map(|job| (job.request.clone(), job.committed)).collect();
-    // π_c was verified at submit(): the window skips the redundant ECDSA.
-    match commit_window(shared, window, Admission::ProxyTrusted, pool) {
+    match commit_window(shared, window, pool) {
         Ok(outcomes) => {
             debug_assert_eq!(outcomes.len(), jobs.len());
             for (mut job, outcome) in jobs.into_iter().zip(outcomes) {
@@ -314,24 +297,6 @@ fn commit_batch(
     }
 }
 
-/// A commit window of one, run inline on the caller's thread — how a
-/// server without a committer appends. Every append thus reaches the
-/// kernel through [`SharedLedger::append_batch`] whichever way it
-/// arrived, and is acknowledged only after the window's barrier.
-pub(crate) fn commit_inline(
-    shared: &SharedLedger,
-    request: TxRequest,
-    committed: bool,
-    admission: Admission,
-) -> Result<CommitOutcome, ErrorFrame> {
-    commit_window(shared, vec![(request, committed)], admission, None)?.pop().unwrap_or_else(|| {
-        Err(ErrorFrame {
-            code: ErrorCode::Internal,
-            detail: "commit window answered no outcome".into(),
-        })
-    })
-}
-
 /// Commit `(request, wants_receipt)` pairs as one durable unit and
 /// resolve each to its outcome, positionally — the body of a commit
 /// window. An outer `Err` means nothing in the window may be
@@ -339,12 +304,12 @@ pub(crate) fn commit_inline(
 fn commit_window(
     shared: &SharedLedger,
     window: Vec<(TxRequest, bool)>,
-    admission: Admission,
     pool: Option<&ledgerdb_pool::Pool>,
 ) -> Result<Vec<Result<CommitOutcome, ErrorFrame>>, ErrorFrame> {
     let (requests, committed): (Vec<TxRequest>, Vec<bool>) = window.into_iter().unzip();
+    // π_c was verified at submit(): the window skips the redundant ECDSA.
     let results = shared
-        .append_batch(requests, admission, pool)
+        .append_batch(requests, Admission::ProxyTrusted, pool)
         .map_err(|e| ErrorFrame::from_ledger_error(&e))?;
 
     // Seal before answering `committed` members: a receipt binds its
@@ -396,6 +361,8 @@ mod tests {
             shared.clone(),
             BatchConfig { max_batch: 8, max_delay: Duration::from_millis(20) },
             Admission::Verify,
+            Registry::global(),
+            None,
         );
         let outcomes = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..24u64)
@@ -428,7 +395,13 @@ mod tests {
     #[test]
     fn committed_jobs_get_verifying_receipts() {
         let (shared, alice) = shared(64);
-        let committer = GroupCommitter::start(shared.clone(), BatchConfig::default(), Admission::Verify);
+        let committer = GroupCommitter::start(
+            shared.clone(),
+            BatchConfig::default(),
+            Admission::Verify,
+            Registry::global(),
+            None,
+        );
         let req = TxRequest::signed(&alice, b"receipt me".to_vec(), vec!["r".into()], 1);
         let outcome = committer.submit(req, true).unwrap();
         match outcome {
@@ -449,6 +422,8 @@ mod tests {
             shared.clone(),
             BatchConfig { max_batch: 4, max_delay: Duration::from_millis(50) },
             Admission::Verify,
+            Registry::global(),
+            None,
         );
         let stranger = ledgerdb_crypto::keys::KeyPair::from_seed(b"not-registered");
         let outcomes = std::thread::scope(|scope| {
@@ -508,11 +483,12 @@ mod tests {
         let requests: Vec<TxRequest> = (0..appends)
             .map(|i| TxRequest::signed(&alice, format!("t-{i}").into_bytes(), vec![], i))
             .collect();
-        let committer = GroupCommitter::start_with(
+        let committer = GroupCommitter::start(
             shared.clone(),
             BatchConfig { max_batch: 8, max_delay: Duration::from_millis(10) },
             Admission::ProxyTrusted,
             &telemetry,
+            None,
         );
         std::thread::scope(|scope| {
             let handles: Vec<_> = requests
@@ -558,11 +534,12 @@ mod tests {
         // Several rounds with submitters mid-flight when shutdown lands,
         // to hit the clone-sender/drop-sender window from both sides.
         for round in 0..6u64 {
-            let committer = GroupCommitter::start_with(
+            let committer = GroupCommitter::start(
                 shared.clone(),
                 BatchConfig { max_batch: 4, max_delay: Duration::from_micros(200) },
                 Admission::Verify,
                 &telemetry,
+                None,
             );
             std::thread::scope(|scope| {
                 for t in 0..4u64 {
@@ -608,7 +585,13 @@ mod tests {
     #[test]
     fn submit_after_shutdown_fails_typed() {
         let (shared, alice) = shared(16);
-        let committer = GroupCommitter::start(shared, BatchConfig::default(), Admission::Verify);
+        let committer = GroupCommitter::start(
+            shared,
+            BatchConfig::default(),
+            Admission::Verify,
+            Registry::global(),
+            None,
+        );
         committer.shutdown();
         let req = TxRequest::signed(&alice, b"late".to_vec(), vec![], 9);
         let err = committer.submit(req, false).unwrap_err();

@@ -5,8 +5,7 @@
 //!         [--workers 4]   # connection threads AND (N>1) compute pool \
 //!         [--event-loop] [--http-addr 127.0.0.1:7879] \
 //!         [--idle-timeout-ms 60000] [--max-connections N] \
-//!         [--fsync always|never|every-N] \
-//!         [--batch-window-us 150] [--batch-max 64] [--no-batch] \
+//!         [--batch-window-us 150] [--batch-max 64] \
 //!         [--proxy-admission] \
 //!         [--block-size 16] [--seed demo] \
 //!         [--checkpoint-every-n-seals 64]   # 0 disables \
@@ -46,6 +45,12 @@
 //! excess with a typed `Busy` frame / HTTP 503. Responses are
 //! byte-identical across both transports.
 //!
+//! Durability: every append commits through the group committer. It
+//! gathers appends for up to `--batch-window-us` or `--batch-max`
+//! requests, writes the window's payloads and WAL records, and acks
+//! nothing before one shared fsync barrier. `--batch-max 1` commits
+//! each append as a window of its own.
+//!
 //! Checkpoints (`--checkpoint-every-n-seals N`, default 64): every N
 //! sealed blocks the sealed prefix is serialized into
 //! `DIR/checkpoints/` (crash-atomically; content-addressed segments)
@@ -58,11 +63,11 @@
 //! Telemetry: every subsystem records into the process-global registry;
 //! fetch a snapshot over the wire with `ledgerd-stats --addr ...` (or
 //! any client's `Stats` request). `--metrics-dump` additionally writes
-//! the exposition to a file every `--metrics-interval-ms` (and once at
-//! shutdown); `--trace-dump` writes the flight recorder's retained
-//! spans as Chrome-trace JSON (chrome://tracing / Perfetto) on the
-//! same cadence; `--slow-op-ms` logs any instrumented span that exceeds
-//! the threshold.
+//! the exposition to a file every `--metrics-interval-ms` (at least 1,
+//! default 1000, and once at shutdown); `--trace-dump` writes the
+//! flight recorder's retained spans as Chrome-trace JSON
+//! (chrome://tracing / Perfetto) on the same cadence; `--slow-op-ms`
+//! logs any instrumented span that exceeds the threshold.
 //!
 //! The member registry is derived deterministically from `--seed`: a CA
 //! and one `User` member ("alice") whose signing seed is
@@ -91,8 +96,7 @@ fn usage() -> ! {
         "usage: ledgerd --dir DIR [--bind ADDR] [--workers N] \
          [--event-loop] [--http-addr ADDR] [--idle-timeout-ms MS] \
          [--max-connections N] \
-         [--fsync always|never|every-N] [--batch-window-us US] \
-         [--batch-max N] [--no-batch] [--proxy-admission] \
+         [--batch-window-us US] [--batch-max N] [--proxy-admission] \
          [--block-size N] [--seed SEED] \
          [--checkpoint-every-n-seals N] [--metrics-dump PATH] \
          [--metrics-interval-ms MS] [--slow-op-ms MS] \
@@ -109,8 +113,7 @@ struct Args {
     http_bind: Option<String>,
     idle_timeout: Duration,
     max_connections: Option<usize>,
-    fsync: FsyncPolicy,
-    batch: Option<BatchConfig>,
+    batch: BatchConfig,
     admission: Admission,
     block_size: u64,
     seed: String,
@@ -132,8 +135,7 @@ fn parse_args() -> Args {
         http_bind: None,
         idle_timeout: Duration::from_secs(60),
         max_connections: None,
-        fsync: FsyncPolicy::Always,
-        batch: Some(BatchConfig::default()),
+        batch: BatchConfig::default(),
         admission: Admission::Verify,
         block_size: 16,
         seed: "demo".into(),
@@ -145,8 +147,6 @@ fn parse_args() -> Args {
         shards: 1,
         state_backend: StateBackend::default(),
     };
-    let mut batch = BatchConfig::default();
-    let mut batching = true;
     let mut it = std::env::args().skip(1);
     let mut have_dir = false;
     while let Some(flag) = it.next() {
@@ -174,22 +174,11 @@ fn parse_args() -> Args {
             "--max-connections" => {
                 args.max_connections = Some(parse_num(&value("--max-connections")));
             }
-            "--fsync" => {
-                let v = value("--fsync");
-                args.fsync = match v.as_str() {
-                    "always" => FsyncPolicy::Always,
-                    "never" => FsyncPolicy::Never,
-                    other => match other.strip_prefix("every-") {
-                        Some(n) => FsyncPolicy::EveryN(parse_num(n)),
-                        None => usage(),
-                    },
-                };
-            }
             "--batch-window-us" => {
-                batch.max_delay = Duration::from_micros(parse_num(&value("--batch-window-us")));
+                args.batch.max_delay =
+                    Duration::from_micros(parse_num(&value("--batch-window-us")));
             }
-            "--batch-max" => batch.max_batch = parse_num(&value("--batch-max")),
-            "--no-batch" => batching = false,
+            "--batch-max" => args.batch.max_batch = parse_num(&value("--batch-max")),
             // π_c verified by an authenticated proxy tier (Fig 1); the
             // server enforces membership only.
             "--proxy-admission" => args.admission = Admission::ProxyTrusted,
@@ -201,9 +190,15 @@ fn parse_args() -> Args {
                     parse_num(&value("--checkpoint-every-n-seals"));
             }
             "--metrics-dump" => args.metrics_dump = Some(PathBuf::from(value("--metrics-dump"))),
+            // 0 would make the metrics and trace dumpers rewrite their
+            // files in a tight loop.
             "--metrics-interval-ms" => {
-                args.metrics_interval =
-                    Duration::from_millis(parse_num(&value("--metrics-interval-ms")));
+                let ms: u64 = parse_num(&value("--metrics-interval-ms"));
+                if ms == 0 {
+                    eprintln!("--metrics-interval-ms must be at least 1");
+                    usage();
+                }
+                args.metrics_interval = Duration::from_millis(ms);
             }
             "--slow-op-ms" => {
                 args.slow_op = Some(Duration::from_millis(parse_num(&value("--slow-op-ms"))));
@@ -229,7 +224,6 @@ fn parse_args() -> Args {
     if !have_dir {
         usage();
     }
-    args.batch = if batching { Some(batch) } else { None };
     args
 }
 
@@ -282,10 +276,6 @@ fn main() {
         eprintln!("ledgerd: --shards must be at least 1");
         exit(2);
     }
-    // With group commit the streams run at FsyncPolicy::Never and the
-    // batcher supplies the per-batch durability barrier; without it,
-    // the configured per-append policy applies.
-    let policy = if args.batch.is_some() { FsyncPolicy::Never } else { args.fsync };
     // `--shards 1` keeps the flat directory layout (byte-compatible
     // with every pre-sharding deployment); K > 1 gives each shard its
     // own WAL, payload store, and checkpoint ladder under DIR/shard-<i>.
@@ -308,6 +298,9 @@ fn main() {
             name: format!("ledgerd-{}", args.seed),
             state_backend: args.state_backend,
         };
+        // The streams never fsync on their own: the group committer
+        // ends each commit window with one durability barrier.
+        let policy = FsyncPolicy::Never;
         let (mut ledger, report) =
             open_durable(config, registry, &shard_dir, policy, Arc::new(SimClock::new()))
                 .unwrap_or_else(|e| {
@@ -348,8 +341,8 @@ fn main() {
         exit(2);
     });
     // `--workers N` sizes both thread pools: N connection threads, and
-    // (for N > 1) an N-worker compute pool that batch admission,
-    // seal-subtree hashing and batch proofs fan out across. With
+    // (for N > 1) an N-worker compute pool that batch admission and
+    // batch proofs fan out across. With
     // `--workers 1` the same stages run inline on the calling thread;
     // results are byte-identical.
     let pool = (args.workers > 1).then(|| ledgerdb_pool::Pool::new(args.workers));

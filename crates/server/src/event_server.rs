@@ -814,7 +814,7 @@ mod tests {
         EventConfig {
             server: ServerConfig {
                 registry: Arc::new(Registry::new()),
-                batch: Some(BatchConfig { max_batch: 16, max_delay: Duration::from_millis(5) }),
+                batch: BatchConfig { max_batch: 16, max_delay: Duration::from_millis(5) },
                 ..ServerConfig::default()
             },
             http_bind: Some("127.0.0.1:0".into()),

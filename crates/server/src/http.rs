@@ -414,11 +414,8 @@ mod tests {
 
     fn service() -> (RequestService, ledgerdb_crypto::keys::KeyPair) {
         let (shared, alice) = shared(4);
-        let config = ServerConfig {
-            registry: Arc::new(Registry::new()),
-            batch: None,
-            ..ServerConfig::default()
-        };
+        let config =
+            ServerConfig { registry: Arc::new(Registry::new()), ..ServerConfig::default() };
         (RequestService::start(shared, &config), alice)
     }
 

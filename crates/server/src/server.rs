@@ -2,10 +2,9 @@
 //!
 //! One acceptor thread hands sockets to a fixed worker pool over a
 //! channel; each worker serves one connection at a time,
-//! request/response, until the peer hangs up. Appends route through the
-//! group-commit [`GroupCommitter`] when batching is enabled, or commit
-//! individually (per-append fsync) when it is not — either way a
-//! success response is only written after the append is durable.
+//! request/response, until the peer hangs up. Every append routes
+//! through the group-commit [`GroupCommitter`], so a success response
+//! is only written after the append's commit window is durable.
 //!
 //! Request handling itself lives in [`crate::service::RequestService`],
 //! shared verbatim with the epoll transport
@@ -62,8 +61,9 @@ pub struct ServerConfig {
     pub write_timeout: Duration,
     /// Largest accepted frame body.
     pub max_frame: u32,
-    /// Group-commit window; `None` commits each append individually.
-    pub batch: Option<BatchConfig>,
+    /// Group-commit window. Every append commits through the group
+    /// committer; `max_batch: 1` makes each append a window of its own.
+    pub batch: BatchConfig,
     /// Where π_c is checked (see [`Admission`]). Defaults to verifying
     /// every request at the server.
     pub admission: Admission,
@@ -71,10 +71,10 @@ pub struct ServerConfig {
     /// exposition. Defaults to the process-global registry; tests bind
     /// their own for isolation.
     pub registry: Arc<Registry>,
-    /// Compute pool for the CPU-parallel append/proof pipeline: the
-    /// off-lock batch admission + digest precompute fans out across it,
-    /// as do seal hashing and batch proofs. `None` (the default) runs
-    /// the same stages inline on the calling thread.
+    /// Compute pool for request-wide work: the off-lock batch admission
+    /// and digest precompute and `GetProofBatch` fan out across it. The
+    /// seal always runs on the thread that holds the write lock. `None`
+    /// (the default) runs the same stages inline on the calling thread.
     pub pool: Option<Arc<ledgerdb_pool::Pool>>,
 }
 
@@ -87,7 +87,7 @@ impl Default for ServerConfig {
             read_timeout: Duration::from_millis(250),
             write_timeout: Duration::from_secs(5),
             max_frame: DEFAULT_MAX_FRAME,
-            batch: Some(BatchConfig::default()),
+            batch: BatchConfig::default(),
             admission: Admission::Verify,
             registry: Registry::global().clone(),
             pool: None,
@@ -367,16 +367,15 @@ mod tests {
     use ledgerdb_core::TxRequest;
     use std::io::Write as _;
 
-    fn start(block_size: u64, batch: Option<BatchConfig>) -> (Ledgerd, ledgerdb_crypto::keys::KeyPair) {
+    fn start(block_size: u64) -> (Ledgerd, ledgerdb_crypto::keys::KeyPair) {
         let (shared, alice) = shared(block_size);
-        let config = ServerConfig { batch, ..ServerConfig::default() };
-        let server = Ledgerd::start(shared, config).unwrap();
+        let server = Ledgerd::start(shared, ServerConfig::default()).unwrap();
         (server, alice)
     }
 
     #[test]
     fn round_trip_over_tcp() {
-        let (server, alice) = start(4, Some(BatchConfig::default()));
+        let (server, alice) = start(4);
         let mut remote = RemoteLedger::connect(server.local_addr()).unwrap();
         for i in 0..8u64 {
             let receipt = remote
@@ -393,17 +392,6 @@ mod tests {
         assert_eq!(remote.client().verified_journals(), 8);
         let (tx_hash, proof) = remote.prove(3).unwrap();
         remote.client().verify_existence(&tx_hash, &proof).unwrap();
-        server.shutdown();
-    }
-
-    #[test]
-    fn unbatched_server_serves_appends() {
-        let (server, alice) = start(4, None);
-        let mut remote = RemoteLedger::connect(server.local_addr()).unwrap();
-        let (jsn, _) = remote
-            .append(TxRequest::signed(&alice, b"plain".to_vec(), vec![], 0))
-            .unwrap();
-        assert_eq!(jsn, 0);
         server.shutdown();
     }
 
@@ -469,7 +457,7 @@ mod tests {
     fn batched_appends_match_serial_results_without_pool() {
         // The same wire request against a pool-less server takes the
         // serial batched path — same acks, same ledger state.
-        let (server, alice) = start(8, None);
+        let (server, alice) = start(8);
         let mut remote = RemoteLedger::connect(server.local_addr()).unwrap();
         let requests: Vec<TxRequest> = (0..5u64)
             .map(|i| TxRequest::signed(&alice, format!("serial-{i}").into_bytes(), vec![], i))
@@ -482,7 +470,7 @@ mod tests {
 
     #[test]
     fn hostile_bytes_get_typed_errors_not_hangups() {
-        let (server, _) = start(4, None);
+        let (server, _) = start(4);
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         // A syntactically valid frame carrying garbage: typed BadTag,
         // connection stays usable.
@@ -595,10 +583,12 @@ mod tests {
 
     #[test]
     fn graceful_shutdown_finishes_inflight_appends() {
-        let (server, alice) = start(
-            4,
-            Some(BatchConfig { max_batch: 32, max_delay: Duration::from_millis(25) }),
-        );
+        let (shared, alice) = shared(4);
+        let config = ServerConfig {
+            batch: BatchConfig { max_batch: 32, max_delay: Duration::from_millis(25) },
+            ..ServerConfig::default()
+        };
+        let server = Ledgerd::start(shared, config).unwrap();
         let addr = server.local_addr();
         let results = std::thread::scope(|scope| {
             let appender = scope.spawn(move || {
@@ -766,14 +756,10 @@ mod tests {
             let dir = temp_dir("seal-fail");
             let io = Arc::new(CkptIo::new());
             io.arm(CrashPoint { op: 1, torn_keep: None });
-            // Checkpoint after every seal; unbatched so the append path
-            // polls the stash directly.
+            // Checkpoint after every seal. The append path polls the
+            // stash after its commit window answers.
             let (shared, alice, telemetry) = durable_shared(&dir, io, 1);
-            let config = ServerConfig {
-                registry: telemetry.clone(),
-                batch: None,
-                ..ServerConfig::default()
-            };
+            let config = ServerConfig { registry: telemetry.clone(), ..ServerConfig::default() };
             let server = Ledgerd::start(shared, config).unwrap();
             let mut remote = RemoteLedger::connect(server.local_addr()).unwrap();
             for i in 0..3u64 {

@@ -9,7 +9,7 @@
 //! which is what makes their responses byte-identical by construction:
 //! the differential suite asserts it, but the sharing is the proof.
 
-use crate::batcher::{commit_inline, Admission, CommitOutcome, GroupCommitter};
+use crate::batcher::{Admission, CommitOutcome, GroupCommitter};
 use crate::metrics::{kind_index, ServerMetrics, REQUEST_KINDS};
 use crate::protocol::{
     AppendedAck, ErrorCode, ErrorFrame, ProofItem, Request, Response, ServerInfo, SpanRecord,
@@ -43,10 +43,10 @@ pub struct RequestService {
     /// it exactly as before.
     pub shared: SharedLedger,
     sharded: ShardedLedger,
-    /// One group committer per shard (all `None` without a batch
-    /// config): per-shard durability barriers are what lets K shards
-    /// commit concurrently instead of serializing on one WAL.
-    committers: Vec<Option<GroupCommitter>>,
+    /// One group committer per shard: per-shard durability barriers
+    /// are what lets K shards commit concurrently instead of
+    /// serializing on one WAL.
+    committers: Vec<GroupCommitter>,
     admission: Admission,
     pool: Option<Arc<ledgerdb_pool::Pool>>,
     registry: Arc<Registry>,
@@ -68,22 +68,21 @@ impl RequestService {
     /// the unsharded service: shard routing degenerates to shard 0 and
     /// jsn packing to the identity.
     pub fn start_sharded(sharded: ShardedLedger, config: &ServerConfig) -> RequestService {
-        let mut committers = Vec::with_capacity(sharded.k());
-        for shard in sharded.shards() {
-            // Wire the compute pool all the way down: the ledger uses it
-            // to hash seal subtrees in parallel, the committer to
-            // pipeline batch admission off the write lock.
-            shard.set_pool(config.pool.clone());
-            committers.push(config.batch.map(|batch| {
-                GroupCommitter::start_with_pool(
+        // The committer fans each window's admission precompute out
+        // across the compute pool, off the write lock.
+        let committers = sharded
+            .shards()
+            .iter()
+            .map(|shard| {
+                GroupCommitter::start(
                     shard.clone(),
-                    batch,
+                    config.batch,
                     config.admission,
                     &config.registry,
                     config.pool.clone(),
                 )
-            }));
-        }
+            })
+            .collect();
         let metrics = ServerMetrics::bind(&config.registry);
         // Which SHA-256 kernel this process dispatches to, as an info
         // series: "this box is slower at proofs" is answerable from
@@ -139,7 +138,7 @@ impl RequestService {
     /// enabled — flush the sealed prefix into a final checkpoint so the
     /// next start replays only the unsealed tail.
     pub fn finish_drain(&self, first: bool) {
-        for committer in self.committers.iter().flatten() {
+        for committer in &self.committers {
             committer.shutdown();
         }
         // A checkpoint already in flight (an auto-seal fired one) holds
@@ -481,10 +480,7 @@ impl RequestService {
         let shard_id = self.sharded.route(&tx);
         let _tag = self.shard_span(shard_id);
         let shard = self.sharded.shard(shard_id);
-        let outcome = match &self.committers[shard_id] {
-            Some(committer) => committer.submit(tx, committed),
-            None => commit_inline(shard, tx, committed, self.admission),
-        };
+        let outcome = self.committers[shard_id].submit(tx, committed);
         // Surface a stashed auto-seal durability failure on the request
         // that caused it: the append's payload is durable, but a block
         // boundary failed to reach the WAL — refuse the ack so the

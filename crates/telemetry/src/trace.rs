@@ -22,7 +22,7 @@
 //!   member trace (the shared fsync barrier appears in each tree).
 //!
 //! Cross-thread stages (pool workers computing ECDSA precompute or
-//! seal legs) capture [`current_scope`] before the fan-out and install
+//! batch proofs) capture [`current_scope`] before the fan-out and install
 //! it inside the worker closure, so worker spans land in the
 //! submitting request's tree.
 

@@ -69,6 +69,15 @@ cleanup() {
   rm -rf "$SMOKE_DIR"
 }
 trap cleanup EXIT
+# A zero dump interval would spin the metrics and trace dumpers in a
+# tight loop: ledgerd refuses it with the usage message and exit 2
+# before it opens the directory or binds (the timeout only guards a
+# regression that would start serving instead).
+ZERO_STATUS=0
+timeout 10 ./target/release/ledgerd --dir "$SMOKE_DIR/zero-interval" --bind 127.0.0.1:0 \
+  --metrics-interval-ms 0 > /dev/null 2>&1 || ZERO_STATUS=$?
+[[ "$ZERO_STATUS" -eq 2 ]] \
+  || { echo "ledgerd --metrics-interval-ms 0 exited $ZERO_STATUS, want 2"; exit 1; }
 # --checkpoint-every-n-seals 1: every seal commits a checkpoint, so the
 # kill -9 recovery below exercises checkpoint-load + tail-replay, not
 # just raw WAL replay (the torture suites cover that path).

@@ -145,9 +145,6 @@ enum Feed<'a> {
 
 /// Replay `ops` against `w`.
 fn replay(w: &World, ops: &[Op], feed: &Feed<'_>) {
-    if let Feed::Batched(_, pool) = feed {
-        w.shared.set_pool(pool.cloned());
-    }
     let mut occulted = std::collections::HashSet::new();
     let mut purged_to = 0u64;
     for op in ops {

@@ -12,6 +12,7 @@ use ledgerdb::crypto::keys::KeyPair;
 use ledgerdb::server::batcher::CommitOutcome;
 use ledgerdb::server::{Admission, BatchConfig, GroupCommitter, Ledgerd, RemoteLedger, ServerConfig};
 use ledgerdb::storage::FsyncPolicy;
+use ledgerdb::telemetry::Registry;
 use ledgerdb::timesvc::clock::SimClock;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -54,6 +55,8 @@ fn writers_and_readers(use_group_commit: bool) {
             shared.clone(),
             BatchConfig { max_batch: 16, max_delay: Duration::from_millis(2) },
             Admission::Verify,
+            Registry::global(),
+            None,
         )
     });
     let done = AtomicBool::new(false);
@@ -169,7 +172,7 @@ fn remote_receipts_survive_server_restart_and_recovery() {
     assert!(report.is_clean());
     let server = Ledgerd::start(
         SharedLedger::new(ledger),
-        ServerConfig { batch: Some(BatchConfig::default()), ..ServerConfig::default() },
+        ServerConfig::default(),
     )
     .unwrap();
 
@@ -235,7 +238,7 @@ fn concurrent_remote_clients_group_commit() {
     let server = Ledgerd::start(
         shared.clone(),
         ServerConfig {
-            batch: Some(BatchConfig { max_batch: 32, max_delay: Duration::from_millis(2) }),
+            batch: BatchConfig { max_batch: 32, max_delay: Duration::from_millis(2) },
             ..ServerConfig::default()
         },
     )

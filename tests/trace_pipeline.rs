@@ -15,7 +15,7 @@ use ledgerdb::crypto::ca::{CertificateAuthority, Role};
 use ledgerdb::crypto::keys::KeyPair;
 use ledgerdb::server::protocol::{Request, Response};
 use ledgerdb::server::service::RequestService;
-use ledgerdb::server::{BatchConfig, ServerConfig};
+use ledgerdb::server::ServerConfig;
 use ledgerdb::telemetry::recorder;
 use ledgerdb::telemetry::{Registry, Unit};
 use ledgerdb::timesvc::clock::SimClock;
@@ -48,7 +48,6 @@ fn durable_service(tag: &str) -> (RequestService, KeyPair, Arc<Registry>, PathBu
     )
     .unwrap();
     let config = ServerConfig {
-        batch: Some(BatchConfig::default()),
         registry: telemetry.clone(),
         pool: Some(ledgerdb::pool::Pool::with_registry(2, &telemetry)),
         ..ServerConfig::default()
@@ -174,6 +173,16 @@ fn seal_leg_spans_agree_with_seal_metrics() {
                 .sum::<u64>();
         }
     }
+
+    // One write path: every seal hashes its three roots on the thread
+    // that holds the write lock, so the service's 2-worker pool runs
+    // no task for them (one-request windows never fan out either).
+    assert_eq!(telemetry.counter("ledger_seals_total").get(), sealed);
+    assert_eq!(
+        telemetry.counter("ledger_pool_tasks_total").get(),
+        0,
+        "a seal must not hand its legs to the pool"
+    );
 
     // The `ledger_seal_*_seconds` histograms time the same work from
     // the metrics side. Counts must match the seal count exactly and
