@@ -3,7 +3,7 @@
 
 use ledgerdb_bench::harness::{self as criterion, criterion_group, criterion_main, BenchmarkId, Criterion};
 use ledgerdb_bench::BenchLedger;
-use ledgerdb_core::VerifyLevel;
+use ledgerdb_core::verify;
 use ledgerdb_crypto::keys::KeyPair;
 use ledgerdb_crypto::multisig::MultiSignature;
 use ledgerdb_crypto::sha256;
@@ -24,10 +24,7 @@ fn bench_what(c: &mut Criterion) {
             b.iter(|| {
                 i = (i + 97) % 512;
                 let (tx_hash, proof) = bench.ledger.prove_existence(i, &anchor).unwrap();
-                bench
-                    .ledger
-                    .verify_existence(i, &tx_hash, &proof, &anchor, VerifyLevel::Client)
-                    .unwrap();
+                verify::existence(&bench.ledger.journal_root(), &anchor, &tx_hash, &proof).unwrap();
             })
         });
     }

@@ -21,7 +21,7 @@ use ledgerdb_baselines::fabric::{FabricConfig, FabricSim};
 use ledgerdb_baselines::network::NetworkProfile;
 use ledgerdb_bench::{banner, fmt_latency, fmt_tps, row, throughput, timed, BenchLedger};
 use ledgerdb_clue::cm_tree::CmTree;
-use ledgerdb_core::VerifyLevel;
+use ledgerdb_core::verify;
 
 /// Per-entry random I/O charge for LedgerDB lineage reads (µs).
 const ENTRY_IO_US: u64 = 100;
@@ -64,10 +64,7 @@ fn main() {
             for i in 0..reps {
                 let jsn = (i * 7) % n;
                 let (tx_hash, proof) = bench.ledger.prove_existence(jsn, &anchor).unwrap();
-                bench
-                    .ledger
-                    .verify_existence(jsn, &tx_hash, &proof, &anchor, VerifyLevel::Client)
-                    .unwrap();
+                verify::existence(&bench.ledger.journal_root(), &anchor, &tx_hash, &proof).unwrap();
             }
         });
         let ledger_latency = secs / reps as f64 + svc.round_trip(4096).seconds();

@@ -9,7 +9,7 @@
 
 use ledgerdb_bench::{banner, BenchLedger};
 use ledgerdb_clue::cm_tree::CmTree;
-use ledgerdb_core::{audit_ledger, AuditConfig, OccultMode, VerifyLevel};
+use ledgerdb_core::{audit_ledger, verify, AuditConfig, OccultMode};
 use ledgerdb_crypto::multisig::MultiSignature;
 use ledgerdb_timesvc::clock::Clock;
 use ledgerdb_timesvc::tledger::{TLedger, TLedgerConfig};
@@ -25,10 +25,7 @@ fn demonstrate_ledgerdb_row() -> &'static str {
     bench.populate(requests);
     let anchor = bench.ledger.anchor();
     let (tx_hash, proof) = bench.ledger.prove_existence(3, &anchor).unwrap();
-    bench
-        .ledger
-        .verify_existence(3, &tx_hash, &proof, &anchor, VerifyLevel::Client)
-        .unwrap();
+    verify::existence(&bench.ledger.journal_root(), &anchor, &tx_hash, &proof).unwrap();
 
     // when: anchor to a T-Ledger (TSA two-way pegged).
     let clock: Arc<dyn Clock> = Arc::clone(bench.ledger.clock());

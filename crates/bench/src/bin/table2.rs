@@ -18,7 +18,7 @@ use ledgerdb_baselines::network::NetworkProfile;
 use ledgerdb_baselines::qldb::{QldbConfig, QldbSim};
 use ledgerdb_bench::{banner, fmt_latency, row, timed, BenchLedger, XorShift};
 use ledgerdb_clue::cm_tree::CmTree;
-use ledgerdb_core::{TxRequest, VerifyLevel};
+use ledgerdb_core::{verify, TxRequest};
 
 const DOC_SIZE: usize = 32 * 1024;
 
@@ -63,10 +63,7 @@ fn main() {
     let anchor = bench.ledger.anchor();
     let ((), verify_compute) = timed(|| {
         let (tx_hash, proof) = bench.ledger.prove_existence(5, &anchor).unwrap();
-        bench
-            .ledger
-            .verify_existence(5, &tx_hash, &proof, &anchor, VerifyLevel::Client)
-            .unwrap();
+        verify::existence(&bench.ledger.journal_root(), &anchor, &tx_hash, &proof).unwrap();
     });
     let ledger_verify = verify_compute + cloud.round_trip(4096).seconds();
 

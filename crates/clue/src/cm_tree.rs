@@ -27,16 +27,6 @@ use ledgerdb_crypto::sha256::Sha256;
 use ledgerdb_mpt::{verify_proof, Mpt, MptProof};
 use std::collections::HashMap;
 
-/// Whether verification runs inside the trusted server or at a distrusting
-/// client from a self-contained proof (§II-C's two verification manners).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum VerifyLevel {
-    /// Server-side: state is local, only recomputation is needed.
-    Server,
-    /// Client-side: every digest must come from the proof object.
-    Client,
-}
-
 /// The commitment CM-Tree1 stores for a clue: subtree root + entry count.
 ///
 /// Committing the count is what makes "the number of records" itself
@@ -245,34 +235,6 @@ impl CmTree {
         self.prove_range(clue, 0, count, |v| subtree.node(leaf_node_pos(v)))
     }
 
-    /// §IV-C verification. With [`VerifyLevel::Client`], `cm_root` is the
-    /// verifier's trusted CM-Tree1 root (from a block's LedgerInfo) and the
-    /// whole proof object is re-derived. With [`VerifyLevel::Server`], local
-    /// state replaces steps 4–5 (no proof-cell shipping).
-    pub fn verify(
-        &self,
-        cm_root: &Digest,
-        proof: &ClueProof,
-        level: VerifyLevel,
-    ) -> Result<(), ClueError> {
-        match level {
-            VerifyLevel::Client => Self::verify_client(cm_root, proof),
-            VerifyLevel::Server => {
-                // Server side: recompute the subtree commitment from local
-                // state and compare (steps 1-3 + local validate).
-                let subtree = self
-                    .subtrees
-                    .get(&proof.clue)
-                    .ok_or_else(|| ClueError::UnknownClue(proof.clue.clone()))?;
-                Shrubs::verify_batch(&subtree.root(), &proof.entries, &proof.subtree)?;
-                if self.root() != *cm_root {
-                    return Err(ClueError::SubtreeCommitMismatch);
-                }
-                Ok(())
-            }
-        }
-    }
-
     /// Stateless client-side verification (the 6-step algorithm of §IV-C).
     pub fn verify_client(cm_root: &Digest, proof: &ClueProof) -> Result<(), ClueError> {
         // Steps 1-3 happened at proof construction; the client holds the
@@ -356,15 +318,6 @@ mod tests {
             .unwrap();
         assert_eq!(proof.entries.len(), 4);
         CmTree::verify_client(&root, &proof).unwrap();
-    }
-
-    #[test]
-    fn server_side_verify() {
-        let t = build(&[("k", 6)]);
-        let root = t.root();
-        let proof = t.prove_all("k").unwrap();
-        t.verify(&root, &proof, VerifyLevel::Server).unwrap();
-        t.verify(&root, &proof, VerifyLevel::Client).unwrap();
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod error;
 pub mod wire;
 
 pub use ccmpt::{CcMpt, CcMptProof};
-pub use cm_tree::{ClueProof, CmRoot, CmTree, VerifyLevel};
+pub use cm_tree::{ClueProof, CmRoot, CmTree};
 pub use csl::ClueSkipList;
 pub use error::ClueError;
 

@@ -18,6 +18,7 @@
 
 use crate::ledger::LedgerDb;
 use crate::types::JournalKind;
+use crate::verify::{self, ChainTip};
 use crate::LedgerError;
 use ledgerdb_accumulator::fam::FamTree;
 use ledgerdb_crypto::ca::Role;
@@ -197,19 +198,13 @@ pub fn audit_ledger(ledger: &LedgerDb, config: &AuditConfig) -> Result<AuditRepo
     // Step 4: block boundary verification (𝒱').
     // ------------------------------------------------------------------
     for pair in segments.windows(2) {
-        let pair = [&pair[0].block, &pair[1].block];
-        if pair[1].prev_block_hash != pair[0].hash() {
-            return Err(LedgerError::AuditFailed(format!(
-                "block boundary {} -> {}: link broken",
-                pair[0].height, pair[1].height
-            )));
-        }
-        if pair[1].first_jsn != pair[0].first_jsn + pair[0].journal_count {
-            return Err(LedgerError::AuditFailed(format!(
-                "block boundary {} -> {}: jsn continuity broken",
-                pair[0].height, pair[1].height
-            )));
-        }
+        let (prev, next) = (&pair[0].block, &pair[1].block);
+        verify::chain(&ChainTip::after(prev), next).map_err(|e| {
+            LedgerError::AuditFailed(format!(
+                "block boundary {} -> {}: {e}",
+                prev.height, next.height
+            ))
+        })?;
     }
 
     // ------------------------------------------------------------------

@@ -23,6 +23,7 @@
 
 use crate::ledger::{LedgerDb, PseudoGenesis};
 use crate::types::{Block, Journal, LedgerInfo};
+use crate::verify::{self, ChainTip};
 use crate::LedgerError;
 use ledgerdb_accumulator::fam::{FamParts, FamTree};
 use ledgerdb_accumulator::shrubs::Shrubs;
@@ -391,22 +392,13 @@ pub(crate) fn load_checkpoint(
     if blocks.len() as u64 != manifest.block_count {
         return Err(LedgerError::Recovery("checkpoint block count mismatch".to_string()));
     }
-    let mut covered = 0u64;
+    let mut tip = ChainTip::GENESIS;
     for (i, b) in blocks.iter().enumerate() {
-        if b.height != i as u64 || b.first_jsn != covered {
-            return Err(LedgerError::Recovery(format!(
-                "checkpoint block {i} out of sequence"
-            )));
-        }
-        covered += b.journal_count;
-        if i > 0 && b.prev_block_hash != blocks[i - 1].hash() {
-            return Err(LedgerError::Recovery(format!(
-                "checkpoint block {i} chain link broken"
-            )));
-        }
+        tip = verify::chain(&tip, b)
+            .map_err(|e| LedgerError::Recovery(format!("checkpoint block {i}: {e}")))?;
     }
     // Seal-boundary invariant: the blocks cover every journal exactly.
-    if covered != manifest.journal_count {
+    if tip.next_jsn != manifest.journal_count {
         return Err(LedgerError::Recovery(
             "checkpoint blocks do not cover its journals (not a seal boundary)".to_string(),
         ));

@@ -12,13 +12,13 @@
 
 use crate::state::StateProof;
 use crate::types::{Block, Receipt};
+use crate::verify::{self, ChainTip};
 use crate::LedgerError;
 use ledgerdb_accumulator::fam::{FamProof, FamTree, TrustedAnchor};
-use ledgerdb_clue::cm_tree::{ClueProof, CmTree};
+use ledgerdb_clue::cm_tree::ClueProof;
 use ledgerdb_crypto::digest::Digest;
 use ledgerdb_crypto::keys::PublicKey;
-use ledgerdb_crypto::wire::Wire;
-use std::collections::HashSet;
+use std::collections::HashMap;
 
 /// Outcome of one synchronization pass.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -37,12 +37,11 @@ pub struct LedgerClient {
     fam_delta: u32,
     /// The client's own fam replica over verified tx-hashes.
     fam: FamTree,
-    /// Verified block-hash set (receipt binding).
-    block_hashes: HashSet<Digest>,
-    /// Hash of the newest verified block.
-    tip: Digest,
-    /// Number of verified blocks.
-    height: u64,
+    /// `(first_jsn, journal_count)` of every verified block, by block
+    /// hash: a receipt must name a jsn inside the block it names.
+    blocks: HashMap<Digest, (u64, u64)>,
+    /// Height, next jsn and hash the next block must extend.
+    tip: ChainTip,
     /// Trusted clue root from the newest verified block.
     clue_root: Digest,
     /// Trusted world-state root from the newest verified block.
@@ -57,9 +56,8 @@ impl LedgerClient {
             lsp_key,
             fam_delta,
             fam: FamTree::new(fam_delta),
-            block_hashes: HashSet::new(),
-            tip: Digest::ZERO,
-            height: 0,
+            blocks: HashMap::new(),
+            tip: ChainTip::GENESIS,
             clue_root: Digest::ZERO,
             state_root: Digest::ZERO,
         }
@@ -67,7 +65,7 @@ impl LedgerClient {
 
     /// Verified block count.
     pub fn height(&self) -> u64 {
-        self.height
+        self.tip.height
     }
 
     /// Journals replayed so far.
@@ -98,37 +96,16 @@ impl LedgerClient {
     /// Synchronize from a block feed. The feed may be the full chain or
     /// any suffix of it starting at or below the verified height (the
     /// remote block-download API serves suffixes): already-verified
-    /// heights are skipped, and the first new block must sit exactly at
-    /// the verified height. Rejects on the first inconsistency; earlier
-    /// accepted blocks remain trusted.
+    /// heights are skipped, and the first new block must extend the
+    /// verified tip by the [chain rule](verify::chain). Rejects on the
+    /// first inconsistency; earlier accepted blocks remain trusted.
     pub fn sync(&mut self, blocks: &[Block]) -> Result<SyncReport, LedgerError> {
         let mut report = SyncReport::default();
-        let verified = self.height;
+        let verified = self.tip.height;
         for block in blocks.iter().filter(|b| b.height >= verified) {
-            if block.height != self.height {
-                return Err(LedgerError::AuditFailed(format!(
-                    "sync: expected block height {}, got {}",
-                    self.height, block.height
-                )));
-            }
-            if self.height > 0 && block.prev_block_hash != self.tip {
-                return Err(LedgerError::AuditFailed(format!(
-                    "sync: block {} does not link to verified tip",
-                    block.height
-                )));
-            }
-            if block.journal_count as usize != block.tx_hashes.len() {
-                return Err(LedgerError::AuditFailed(format!(
-                    "sync: block {} journal count mismatch",
-                    block.height
-                )));
-            }
-            if block.first_jsn != self.fam.journal_count() {
-                return Err(LedgerError::AuditFailed(format!(
-                    "sync: block {} does not start at the next jsn",
-                    block.height
-                )));
-            }
+            let tip = verify::chain(&self.tip, block).map_err(|e| {
+                LedgerError::AuditFailed(format!("sync: block {}: {e}", block.height))
+            })?;
             // Replay the journal digests through the local fam replica and
             // require the server's recorded root to re-derive.
             for tx_hash in &block.tx_hashes {
@@ -140,10 +117,8 @@ impl LedgerClient {
                     block.height
                 )));
             }
-            let hash = block.hash();
-            self.block_hashes.insert(hash);
-            self.tip = hash;
-            self.height += 1;
+            self.blocks.insert(block.hash(), (block.first_jsn, block.journal_count));
+            self.tip = tip;
             self.clue_root = block.info.clue_root;
             self.state_root = block.info.state_root;
             report.blocks_accepted += 1;
@@ -152,67 +127,26 @@ impl LedgerClient {
         Ok(report)
     }
 
-    /// Verify an LSP receipt: signature, key identity, and that its block
-    /// hash belongs to the verified chain.
+    /// Verify an LSP receipt: the pinned key's signature, a jsn inside
+    /// the verified block it names, and a tx-hash equal to the one this
+    /// client's own replica holds at that jsn.
     pub fn verify_receipt(&self, receipt: &Receipt) -> Result<(), LedgerError> {
-        if receipt.lsp_pk != self.lsp_key {
-            return Err(LedgerError::BadReceipt);
-        }
-        if !receipt.verify() {
-            return Err(LedgerError::BadReceipt);
-        }
-        if !self.block_hashes.contains(&receipt.block_hash) {
-            return Err(LedgerError::BadReceipt);
-        }
-        Ok(())
-    }
-
-    /// Verify a wire-encoded receipt.
-    pub fn verify_receipt_bytes(&self, bytes: &[u8]) -> Result<Receipt, LedgerError> {
-        let receipt = Receipt::from_wire(bytes)
-            .map_err(|_| LedgerError::BadReceipt)?;
-        self.verify_receipt(&receipt)?;
-        Ok(receipt)
+        let block = *self.blocks.get(&receipt.block_hash).ok_or(LedgerError::BadReceipt)?;
+        verify::receipt(&self.lsp_key, block, receipt)?;
+        let anchor = self.fam.anchor();
+        let proof = self.fam.prove(receipt.jsn, &anchor).map_err(|_| LedgerError::BadReceipt)?;
+        verify::existence(&self.fam.root(), &anchor, &receipt.tx_hash, &proof)
+            .map_err(|_| LedgerError::BadReceipt)
     }
 
     /// Verify an existence proof against the client's own root/anchor.
-    pub fn verify_existence(
-        &self,
-        tx_hash: &Digest,
-        proof: &FamProof,
-    ) -> Result<(), LedgerError> {
-        let anchor = self.fam.anchor();
-        FamTree::verify(&self.fam.root(), &anchor, tx_hash, proof)?;
-        Ok(())
-    }
-
-    /// Verify a wire-encoded existence proof.
-    pub fn verify_existence_bytes(
-        &self,
-        tx_hash: &Digest,
-        proof_bytes: &[u8],
-    ) -> Result<(), LedgerError> {
-        let proof = FamProof::from_wire(proof_bytes).map_err(|_| {
-            LedgerError::Accumulator(ledgerdb_accumulator::AccumulatorError::MalformedProof(
-                "undecodable fam proof",
-            ))
-        })?;
-        self.verify_existence(tx_hash, &proof)
+    pub fn verify_existence(&self, tx_hash: &Digest, proof: &FamProof) -> Result<(), LedgerError> {
+        verify::existence(&self.fam.root(), &self.fam.anchor(), tx_hash, proof)
     }
 
     /// Verify a clue (N-lineage) proof against the trusted clue root.
     pub fn verify_clue(&self, proof: &ClueProof) -> Result<(), LedgerError> {
-        CmTree::verify_client(&self.clue_root, proof)?;
-        Ok(())
-    }
-
-    /// Verify a wire-encoded clue proof; returns it for inspection.
-    pub fn verify_clue_bytes(&self, bytes: &[u8]) -> Result<ClueProof, LedgerError> {
-        let proof = ClueProof::from_wire(bytes).map_err(|_| {
-            LedgerError::Clue(ledgerdb_clue::ClueError::MalformedProof("undecodable clue proof"))
-        })?;
-        self.verify_clue(&proof)?;
-        Ok(proof)
+        verify::clue(&self.clue_root, proof)
     }
 
     /// Verify a state-commitment proof (inclusion or absence, either
@@ -223,15 +157,7 @@ impl LedgerClient {
         &self,
         proof: &'a StateProof,
     ) -> Result<Option<&'a [u8]>, LedgerError> {
-        crate::state::verify_state_proof(&self.state_root, proof)
-    }
-
-    /// Verify a wire-encoded state proof; returns it for inspection.
-    pub fn verify_state_bytes(&self, bytes: &[u8]) -> Result<StateProof, LedgerError> {
-        let proof = StateProof::from_wire(bytes)
-            .map_err(|_| LedgerError::State("undecodable state proof".into()))?;
-        self.verify_state(&proof)?;
-        Ok(proof)
+        verify::verify_state_proof(&self.state_root, proof)
     }
 
     /// The fam fractal height this client replays with.
@@ -246,6 +172,7 @@ mod tests {
     use crate::ledger::tests::fixture;
     use crate::types::TxRequest;
     use ledgerdb_crypto::sha256;
+    use ledgerdb_crypto::wire::Wire;
 
     fn synced_world() -> (crate::ledger::tests::Fixture, LedgerClient) {
         let mut f = fixture(4);
@@ -292,14 +219,15 @@ mod tests {
         let (f, client) = synced_world();
         // Receipt.
         let receipt = f.ledger.receipt(7).unwrap().unwrap();
-        client.verify_receipt_bytes(&receipt.to_wire()).unwrap();
+        client.verify_receipt(&Receipt::from_wire(&receipt.to_wire()).unwrap()).unwrap();
         // Existence (proof generated against the client's own anchor).
         let anchor = client.anchor();
         let (tx_hash, proof) = f.ledger.prove_existence(7, &anchor).unwrap();
-        client.verify_existence_bytes(&tx_hash, &proof.to_wire()).unwrap();
+        client.verify_existence(&tx_hash, &FamProof::from_wire(&proof.to_wire()).unwrap()).unwrap();
         // Clue lineage.
         let clue_proof = f.ledger.prove_clue("c1").unwrap();
-        let decoded = client.verify_clue_bytes(&clue_proof.to_wire()).unwrap();
+        let decoded = ClueProof::from_wire(&clue_proof.to_wire()).unwrap();
+        client.verify_clue(&decoded).unwrap();
         assert_eq!(decoded.entries.len(), 10);
     }
 
@@ -348,11 +276,42 @@ mod tests {
         assert!(client.verify_existence(&tx_hash, &proof).is_err());
     }
 
+    /// A receipt for `jsn` carrying `tx_hash` and naming `block_hash`,
+    /// signed with the ledger's own LSP key — what a lying server that
+    /// holds the key can hand out.
+    fn lsp_signed(f: &crate::ledger::tests::Fixture, jsn: u64, tx_hash: Digest, block_hash: Digest) -> Receipt {
+        let honest = f.ledger.receipt(jsn).unwrap().unwrap();
+        let msg = Receipt::signing_digest(jsn, &honest.request_hash, &tx_hash, &block_hash, honest.timestamp);
+        Receipt { tx_hash, block_hash, signature: f.ledger.lsp_keys.sign(&msg), ..honest }
+    }
+
+    #[test]
+    fn receipt_naming_another_block_rejected() {
+        // Blocks of 4: jsn 17 sits in block 4, not block 0 (jsns 0-3).
+        let (f, client) = synced_world();
+        let honest = f.ledger.receipt(17).unwrap().unwrap();
+        let block0 = f.ledger.blocks().next().unwrap().hash();
+        let forged = lsp_signed(&f, 17, honest.tx_hash, block0);
+        assert!(forged.verify(), "the forgery carries a valid LSP signature");
+        assert!(matches!(client.verify_receipt(&forged), Err(LedgerError::BadReceipt)));
+        client.verify_receipt(&honest).unwrap();
+    }
+
+    #[test]
+    fn receipt_with_a_never_appended_tx_hash_rejected() {
+        let (f, client) = synced_world();
+        let honest = f.ledger.receipt(17).unwrap().unwrap();
+        let forged = lsp_signed(&f, 17, sha256(b"never appended"), honest.block_hash);
+        assert!(forged.verify(), "the forgery carries a valid LSP signature");
+        assert!(matches!(client.verify_receipt(&forged), Err(LedgerError::BadReceipt)));
+    }
+
     #[test]
     fn undecodable_bytes_rejected() {
-        let (_, client) = synced_world();
-        assert!(client.verify_receipt_bytes(b"junk").is_err());
-        assert!(client.verify_existence_bytes(&sha256(b"x"), b"junk").is_err());
-        assert!(client.verify_clue_bytes(b"junk").is_err());
+        // Callers decode before verifying; hostile bytes stop at the codec.
+        assert!(Receipt::from_wire(b"junk").is_err());
+        assert!(FamProof::from_wire(b"junk").is_err());
+        assert!(ClueProof::from_wire(b"junk").is_err());
+        assert!(StateProof::from_wire(b"junk").is_err());
     }
 }

@@ -5,7 +5,7 @@ use crate::snapshot::{
     check_retrievable, sealed_count, sealed_journal, sealed_receipt, sealed_tx_hash,
     SealedSegment,
 };
-use crate::types::{Block, Journal, JournalKind, LedgerInfo, Receipt, TxRequest, VerifyLevel};
+use crate::types::{Block, Journal, JournalKind, LedgerInfo, Receipt, TxRequest};
 use crate::LedgerError;
 use ledgerdb_accumulator::fam::{FamProof, FamTree, TrustedAnchor};
 use ledgerdb_clue::cm_tree::{ClueProof, CmTree};
@@ -515,8 +515,9 @@ impl LedgerDb {
         }
     }
 
-    /// A journal's tx-hash, sealed or in the tail.
-    fn tx_hash(&self, jsn: u64) -> Option<Digest> {
+    /// A journal's tx-hash, sealed or in the tail — what the block
+    /// commits to, or will at the next seal.
+    pub fn tx_hash(&self, jsn: u64) -> Option<Digest> {
         match jsn.checked_sub(self.sealed_journals()) {
             Some(offset) => self.tail.tx_hashes.get(offset as usize).copied(),
             None => sealed_tx_hash(&self.sealed, jsn),
@@ -532,7 +533,7 @@ impl LedgerDb {
     /// world state, and returns the jsn acknowledgement. The receipt π_s
     /// becomes available once the journal's block seals.
     pub fn append(&mut self, request: TxRequest) -> Result<AppendAck, LedgerError> {
-        self.verify_request(&request)?;
+        self.registry.admit(&request)?;
         self.append_preverified(request)
     }
 
@@ -546,20 +547,6 @@ impl LedgerDb {
         // missing receipt.
         self.try_seal_block()?;
         self.receipt(ack.jsn)?.ok_or(LedgerError::UnknownJournal(ack.jsn))
-    }
-
-    /// Admission check for a client transaction: membership and π_c.
-    /// Read-only, so a proxy/service tier can run it under a shared
-    /// read lock — in parallel across client threads — before handing
-    /// the request to a (serial) commit path that skips re-verifying.
-    pub fn verify_request(&self, request: &TxRequest) -> Result<(), LedgerError> {
-        if !self.registry.is_registered(&request.client_pk) {
-            return Err(LedgerError::UnknownMember);
-        }
-        if !request.verify_signature() {
-            return Err(LedgerError::BadClientSignature);
-        }
-        Ok(())
     }
 
     /// Append a request whose signature was already verified by the ledger
@@ -916,7 +903,7 @@ impl LedgerDb {
     }
 
     // ------------------------------------------------------------------
-    // Existence verification (what, §III-A)
+    // Existence proofs (what, §III-A)
     // ------------------------------------------------------------------
 
     /// Produce an existence proof (GetProof): the journal's tx-hash path
@@ -933,62 +920,13 @@ impl LedgerDb {
         Ok((tx_hash, proof))
     }
 
-    /// Verify a journal's existence. Server level recomputes locally;
-    /// client level checks the proof against the supplied trusted root.
-    pub fn verify_existence(
-        &self,
-        jsn: u64,
-        tx_hash: &Digest,
-        proof: &FamProof,
-        anchor: &TrustedAnchor,
-        level: VerifyLevel,
-    ) -> Result<(), LedgerError> {
-        let _span = self.metrics.verify_seconds.time("ledger_verify");
-        self.metrics.verifies.inc();
-        match level {
-            VerifyLevel::Server => {
-                let journal = self.journal(jsn).ok_or(LedgerError::UnknownJournal(jsn))?;
-                if journal.tx_hash() == *tx_hash {
-                    Ok(())
-                } else {
-                    Err(LedgerError::Accumulator(
-                        ledgerdb_accumulator::AccumulatorError::ProofMismatch,
-                    ))
-                }
-            }
-            VerifyLevel::Client => {
-                FamTree::verify(&self.fam.root(), anchor, tx_hash, proof)?;
-                Ok(())
-            }
-        }
-    }
-
     // ------------------------------------------------------------------
-    // Clue verification (N-lineage, §IV)
+    // Clue proofs (N-lineage, §IV)
     // ------------------------------------------------------------------
 
     /// Produce a clue-oriented proof for the entire lineage.
     pub fn prove_clue(&self, clue: &str) -> Result<ClueProof, LedgerError> {
         Ok(self.cm_tree.prove_all(clue)?)
-    }
-
-    /// Verify a clue proof against the latest block's recorded clue root.
-    pub fn verify_clue(
-        &self,
-        proof: &ClueProof,
-        level: VerifyLevel,
-    ) -> Result<(), LedgerError> {
-        let root = self.cm_tree.root();
-        match level {
-            VerifyLevel::Server => {
-                self.cm_tree
-                    .verify(&root, proof, ledgerdb_clue::cm_tree::VerifyLevel::Server)?;
-            }
-            VerifyLevel::Client => {
-                CmTree::verify_client(&root, proof)?;
-            }
-        }
-        Ok(())
     }
 
     /// Direct read access to the CM-Tree (benchmarks, ablations).
@@ -1286,16 +1224,6 @@ impl LedgerDb {
         self.world_state.backend()
     }
 
-    /// Verify a world-state witness against a trusted state root. On
-    /// success returns the proven payload digest bytes (`None` =
-    /// verified absence).
-    pub fn verify_state<'a>(
-        state_root: &Digest,
-        proof: &'a StateProof,
-    ) -> Result<Option<&'a [u8]>, LedgerError> {
-        crate::state::verify_state_proof(state_root, proof)
-    }
-
     /// Produce a clue proof restricted to lineage versions `[lo, hi)`
     /// (the §IV-C "verify within a range specified by version boundaries"
     /// scenario).
@@ -1351,6 +1279,7 @@ pub(crate) fn pseudo_genesis_hash(id: &Digest, purge_to: u64, snapshot: &LedgerI
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::verify;
     use ledgerdb_crypto::ca::CertificateAuthority;
 
     pub(crate) struct Fixture {
@@ -1451,12 +1380,9 @@ pub(crate) mod tests {
         let anchor = TrustedAnchor::default();
         for jsn in [0u64, 7, 20, 39] {
             let (tx_hash, proof) = f.ledger.prove_existence(jsn, &anchor).unwrap();
-            f.ledger
-                .verify_existence(jsn, &tx_hash, &proof, &anchor, VerifyLevel::Client)
+            verify::existence(&f.ledger.journal_root(), &anchor, &tx_hash, &proof)
                 .unwrap();
-            f.ledger
-                .verify_existence(jsn, &tx_hash, &proof, &anchor, VerifyLevel::Server)
-                .unwrap();
+            assert_eq!(f.ledger.tx_hash(jsn), Some(tx_hash));
         }
     }
 
@@ -1469,9 +1395,7 @@ pub(crate) mod tests {
         let anchor = TrustedAnchor::default();
         let (_, proof) = f.ledger.prove_existence(3, &anchor).unwrap();
         let fake = sha256(b"foopar");
-        assert!(f
-            .ledger
-            .verify_existence(3, &fake, &proof, &anchor, VerifyLevel::Client)
+        assert!(verify::existence(&f.ledger.journal_root(), &anchor, &fake, &proof)
             .is_err());
     }
 
@@ -1486,8 +1410,7 @@ pub(crate) mod tests {
         f.ledger.append(tx(&f.bob, b"unrelated", &["other"], 99)).unwrap();
         let proof = f.ledger.prove_clue("DCI001").unwrap();
         assert_eq!(proof.entries.len(), 3);
-        f.ledger.verify_clue(&proof, VerifyLevel::Client).unwrap();
-        f.ledger.verify_clue(&proof, VerifyLevel::Server).unwrap();
+        verify::clue(&f.ledger.clue_root(), &proof).unwrap();
     }
 
     #[test]
@@ -1508,8 +1431,7 @@ pub(crate) mod tests {
         // Existence verification still passes via the retained hash.
         let anchor = TrustedAnchor::default();
         let (tx_hash, proof) = f.ledger.prove_existence(2, &anchor).unwrap();
-        f.ledger
-            .verify_existence(2, &tx_hash, &proof, &anchor, VerifyLevel::Client)
+        verify::existence(&f.ledger.journal_root(), &anchor, &tx_hash, &proof)
             .unwrap();
     }
 
@@ -1581,8 +1503,7 @@ pub(crate) mod tests {
         assert!(f.ledger.get_tx(5).is_ok());
         let anchor = TrustedAnchor::default();
         let (tx_hash, proof) = f.ledger.prove_existence(5, &anchor).unwrap();
-        f.ledger
-            .verify_existence(5, &tx_hash, &proof, &anchor, VerifyLevel::Client)
+        verify::existence(&f.ledger.journal_root(), &anchor, &tx_hash, &proof)
             .unwrap();
     }
 
@@ -1626,8 +1547,7 @@ pub(crate) mod tests {
         assert!(f.ledger.get_tx(1).is_ok());
         let anchor = TrustedAnchor::default();
         let (tx_hash, proof) = f.ledger.prove_existence(3, &anchor).unwrap();
-        f.ledger
-            .verify_existence(3, &tx_hash, &proof, &anchor, VerifyLevel::Client)
+        verify::existence(&f.ledger.journal_root(), &anchor, &tx_hash, &proof)
             .unwrap();
     }
 
@@ -1674,11 +1594,11 @@ pub(crate) mod tests {
         let proof = f.ledger.prove_state("acct");
         // The proven value is the *latest* payload digest.
         assert_eq!(proof.claimed_value(), Some(sha256(b"v2").0.as_slice()));
-        let value = LedgerDb::verify_state(&state_root, &proof).unwrap();
+        let value = verify::verify_state_proof(&state_root, &proof).unwrap();
         assert_eq!(value, Some(sha256(b"v2").0.as_slice()));
         // Missing clues yield verifiable absence, not an error.
         let absent = f.ledger.prove_state("missing");
-        assert_eq!(LedgerDb::verify_state(&state_root, &absent).unwrap(), None);
+        assert_eq!(verify::verify_state_proof(&state_root, &absent).unwrap(), None);
     }
 
     #[test]
@@ -1720,8 +1640,7 @@ pub(crate) mod tests {
         let anchor = f.ledger.anchor();
         for jsn in 20..40u64 {
             let (tx_hash, proof) = f.ledger.prove_existence(jsn, &anchor).unwrap();
-            f.ledger
-                .verify_existence(jsn, &tx_hash, &proof, &anchor, VerifyLevel::Client)
+            verify::existence(&f.ledger.journal_root(), &anchor, &tx_hash, &proof)
                 .unwrap();
         }
         // Early journals in fully erased epochs are gone from the fam.

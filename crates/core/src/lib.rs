@@ -10,7 +10,9 @@
 //!   journal π_t (*who* / *when*);
 //! * verifiable mutations: [purge](ledger::LedgerDb::purge) and
 //!   [occult](ledger::LedgerDb::occult) (§III-A2/3);
-//! * the [Dasein-complete audit](audit) of §V.
+//! * the [Dasein-complete audit](audit) of §V;
+//! * [verification](verify): pure functions of trusted roots and proofs,
+//!   shared by the client, the audit, checkpoint load and WAL replay.
 
 pub mod audit;
 pub mod checkpoint;
@@ -26,6 +28,7 @@ pub mod shared;
 pub mod state;
 pub mod snapshot;
 pub mod types;
+pub mod verify;
 
 pub use audit::{audit_ledger, AuditConfig, AuditReport};
 pub use checkpoint::CheckpointManifest;
@@ -43,8 +46,7 @@ pub use sharded::{
     ShardedLedger, MAX_SHARDS,
 };
 pub use shared::SharedLedger;
-pub use state::{verify_state_proof, StateBackend, StateCommitment, StateProof, WorldState};
+pub use state::{StateBackend, StateCommitment, StateProof, WorldState};
 pub use snapshot::{ReadSnapshot, SnapshotHub};
-pub use types::{
-    Admission, Block, Journal, JournalKind, LedgerInfo, Receipt, TxRequest, VerifyLevel,
-};
+pub use types::{Admission, Block, Journal, JournalKind, LedgerInfo, Receipt, TxRequest};
+pub use verify::verify_state_proof;

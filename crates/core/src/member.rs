@@ -6,6 +6,7 @@
 //! registration time and answers the role queries the mutation
 //! prerequisites need (DBA for purge/occult, regulator for occult).
 
+use crate::types::TxRequest;
 use crate::LedgerError;
 use ledgerdb_crypto::ca::{Certificate, Role};
 use ledgerdb_crypto::keys::PublicKey;
@@ -62,6 +63,19 @@ impl MemberRegistry {
     /// Is `pk` registered?
     pub fn is_registered(&self, pk: &PublicKey) -> bool {
         self.by_key.contains_key(&pk.to_bytes())
+    }
+
+    /// Admission of a client transaction: the submitter is a member and
+    /// π_c verifies. Read-only, so a proxy or service tier runs it off
+    /// the write lock before a commit path that skips re-verifying.
+    pub fn admit(&self, request: &TxRequest) -> Result<(), LedgerError> {
+        if !self.is_registered(&request.client_pk) {
+            return Err(LedgerError::UnknownMember);
+        }
+        if !request.verify_signature() {
+            return Err(LedgerError::BadClientSignature);
+        }
+        Ok(())
     }
 
     /// Public keys of every member holding `role`.

@@ -31,10 +31,6 @@ pub struct CoreMetrics {
     /// `ledger_proofs_total` / `ledger_proof_seconds` — existence proofs.
     pub proofs: Arc<Counter>,
     pub proof_seconds: Arc<Histogram>,
-    /// `ledger_verifies_total` / `ledger_verify_seconds` — existence
-    /// verifications.
-    pub verifies: Arc<Counter>,
-    pub verify_seconds: Arc<Histogram>,
     /// `ledger_durability_error` — 1 while a durability failure is
     /// stashed (degraded but serving), 0 otherwise.
     pub durability_error: Arc<Gauge>,
@@ -78,8 +74,6 @@ impl CoreMetrics {
             seal_state_seconds: registry.histogram("ledger_seal_state_seconds", Unit::Seconds),
             proofs: registry.counter("ledger_proofs_total"),
             proof_seconds: registry.histogram("ledger_proof_seconds", Unit::Seconds),
-            verifies: registry.counter("ledger_verifies_total"),
-            verify_seconds: registry.histogram("ledger_verify_seconds", Unit::Seconds),
             durability_error: registry.gauge("ledger_durability_error"),
             checkpoints: registry.counter("ledger_checkpoints_total"),
             checkpoint_write_seconds: registry

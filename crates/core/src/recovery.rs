@@ -55,6 +55,7 @@ use crate::ledger::{LedgerConfig, LedgerDb, PseudoGenesis};
 use crate::snapshot::SealedSegment;
 use crate::member::MemberRegistry;
 use crate::types::{Block, Journal, JournalKind};
+use crate::verify::{self, ChainTip};
 use crate::LedgerError;
 use ledgerdb_crypto::digest::Digest;
 use ledgerdb_crypto::wire::{Reader, Wire, WireError, Writer};
@@ -482,28 +483,21 @@ fn replay_journal(ledger: &mut LedgerDb, journal: Journal) -> Result<(), String>
 
 /// Replay one seal record: recompute the roots, tx-hashes and chain
 /// link from the rebuilt kernel and cross-check the recorded block.
-fn replay_seal(ledger: &mut LedgerDb, block: Block) -> Result<(), String> {
+pub(crate) fn replay_seal(ledger: &mut LedgerDb, block: Block) -> Result<(), String> {
     if ledger.pending_journals() == 0 {
         return Err(format!("seal of block {} with no pending journals", block.height));
     }
-    if block.height != ledger.block_count() {
-        return Err(format!(
-            "seal height {} out of order (expected {})",
-            block.height,
-            ledger.block_count()
-        ));
-    }
-    if block.first_jsn != ledger.sealed_journals()
-        || block.journal_count != ledger.pending_journals()
-    {
-        return Err(format!("seal of block {} covers the wrong journals", block.height));
-    }
+    let tip = ChainTip {
+        height: ledger.block_count(),
+        next_jsn: ledger.sealed_journals(),
+        hash: Some(ledger.chain_head()),
+    };
+    verify::chain(&tip, &block).map_err(|e| format!("seal of block {}: {e}", block.height))?;
     if block.info != ledger.roots() {
         return Err(format!("block {} roots do not replay", block.height));
     }
-    if block.prev_block_hash != ledger.chain_head() {
-        return Err(format!("block {} chain link broken", block.height));
-    }
+    // With the chain rule's count check, this also pins the block to
+    // exactly the pending journals.
     if block.tx_hashes != ledger.tail.tx_hashes {
         return Err(format!("block {} tx hashes do not replay", block.height));
     }

@@ -14,7 +14,7 @@
 use crate::ledger::{AppendAck, LedgerDb, OccultMode, PreparedTx};
 use crate::snapshot::{ReadSnapshot, SnapshotHub};
 use crate::state::{StateBackend, StateProof};
-use crate::types::{Admission, Block, Journal, Receipt, TxRequest, VerifyLevel};
+use crate::types::{Admission, Block, Journal, Receipt, TxRequest};
 use crate::LedgerError;
 use ledgerdb_accumulator::fam::{FamProof, TrustedAnchor};
 use ledgerdb_clue::cm_tree::ClueProof;
@@ -140,10 +140,10 @@ impl SharedLedger {
     /// live registry under the read lock before being rejected.
     pub fn verify_request(&self, request: &TxRequest) -> Result<(), LedgerError> {
         let snap = self.hub.load();
-        match snap.verify_request(request) {
+        match snap.registry().admit(request) {
             Err(LedgerError::UnknownMember) => {
                 self.hub.note_fallback(&snap);
-                self.inner.read().verify_request(request)
+                self.inner.read().registry().admit(request)
             }
             verdict => {
                 self.hub.note_hit(&snap);
@@ -320,11 +320,12 @@ impl SharedLedger {
         jsn: u64,
         anchor: &TrustedAnchor,
     ) -> Result<(Digest, FamProof), LedgerError> {
-        if let Some(snap) = self.snap_covering(jsn) {
-            if snap.can_prove() {
-                return snap.prove_existence(jsn, anchor);
-            }
+        let snap = self.hub.load();
+        if snap.covers(jsn) && snap.can_prove() {
+            self.hub.note_hit(&snap);
+            return snap.prove_existence(jsn, anchor);
         }
+        self.hub.note_fallback(&snap);
         self.inner.read().prove_existence(jsn, anchor)
     }
 
@@ -366,22 +367,16 @@ impl SharedLedger {
         jsns.iter().map(|&jsn| inner.prove_existence(jsn, anchor)).collect()
     }
 
-    /// Verify an existence proof. Server level needs only the sealed
-    /// journal record; client level checks against the snapshot's root.
-    pub fn verify_existence(
-        &self,
-        jsn: u64,
-        tx_hash: &Digest,
-        proof: &FamProof,
-        anchor: &TrustedAnchor,
-        level: VerifyLevel,
-    ) -> Result<(), LedgerError> {
-        if let Some(snap) = self.snap_covering(jsn) {
-            if level == VerifyLevel::Server || snap.can_prove() {
-                return snap.verify_existence(jsn, tx_hash, proof, anchor, level);
-            }
-        }
-        self.inner.read().verify_existence(jsn, tx_hash, proof, anchor, level)
+    /// A journal's tx-hash — what its block commits to. Sealed jsns are
+    /// served from the snapshot; the unsealed tail falls back to the
+    /// locked path. This is all `Request::Verify` (§II-C's server
+    /// manner) compares against.
+    pub fn tx_hash(&self, jsn: u64) -> Result<Digest, LedgerError> {
+        let hash = match self.snap_covering(jsn) {
+            Some(snap) => snap.tx_hash(jsn),
+            None => self.inner.read().tx_hash(jsn),
+        };
+        hash.ok_or(LedgerError::UnknownJournal(jsn))
     }
 
     /// Produce a clue proof (always locked: CM-Tree proofs need the
@@ -511,20 +506,12 @@ mod tests {
                 let r = shared.clone();
                 scope.spawn(move || {
                     for _ in 0..50 {
-                        // Snapshot-consistent read path: anchor + proof +
-                        // verify under one read lock each.
+                        // The root may move between calls, so only the
+                        // server manner is asserted: the proven tx-hash
+                        // is the one the ledger holds for jsn 5.
                         let anchor = r.anchor();
-                        let (tx_hash, proof) = r.prove_existence(5, &anchor).unwrap();
-                        // The root may move between calls; re-prove on the
-                        // rare mismatch rather than asserting staleness.
-                        let ok = r
-                            .verify_existence(5, &tx_hash, &proof, &anchor, VerifyLevel::Client)
-                            .is_ok();
-                        let server_ok = r
-                            .verify_existence(5, &tx_hash, &proof, &anchor, VerifyLevel::Server)
-                            .is_ok();
-                        assert!(server_ok);
-                        let _ = ok;
+                        let (tx_hash, _) = r.prove_existence(5, &anchor).unwrap();
+                        assert_eq!(r.tx_hash(5).unwrap(), tx_hash);
                     }
                 });
             }
@@ -679,7 +666,7 @@ mod tests {
         // Verification is unaffected (retained tx-hash, Protocol 2).
         let anchor = TrustedAnchor::default();
         let (tx_hash, proof) = snap.prove_existence(2, &anchor).unwrap();
-        snap.verify_existence(2, &tx_hash, &proof, &anchor, VerifyLevel::Client).unwrap();
+        crate::verify::existence(&snap.journal_root(), &anchor, &tx_hash, &proof).unwrap();
     }
 
     #[test]

@@ -37,7 +37,7 @@
 use crate::ledger::LedgerDb;
 use crate::member::MemberRegistry;
 use crate::metrics::CoreMetrics;
-use crate::types::{Block, Journal, LedgerInfo, Receipt, TxRequest, VerifyLevel};
+use crate::types::{Block, Journal, LedgerInfo, Receipt};
 use crate::LedgerError;
 use ledgerdb_accumulator::fam::{FamProof, FamTree, TrustedAnchor};
 use ledgerdb_clue::cm_tree::CmRoot;
@@ -334,56 +334,21 @@ impl ReadSnapshot {
         let _span = self.metrics.proof_seconds.time("ledger_proof");
         self.metrics.proofs.inc();
         let fam = self.fam.as_deref().ok_or(LedgerError::UnknownJournal(jsn))?;
-        let tx_hash =
-            sealed_tx_hash(&self.segments, jsn).ok_or(LedgerError::UnknownJournal(jsn))?;
+        let tx_hash = self.tx_hash(jsn).ok_or(LedgerError::UnknownJournal(jsn))?;
         let proof = fam.prove(jsn, anchor)?;
         Ok((tx_hash, proof))
     }
 
-    /// Verify a journal's existence against the frozen state — same
-    /// semantics as [`LedgerDb::verify_existence`], with the client
-    /// level checking against this snapshot's root.
-    pub fn verify_existence(
-        &self,
-        jsn: u64,
-        tx_hash: &Digest,
-        proof: &FamProof,
-        anchor: &TrustedAnchor,
-        level: VerifyLevel,
-    ) -> Result<(), LedgerError> {
-        let _span = self.metrics.verify_seconds.time("ledger_verify");
-        self.metrics.verifies.inc();
-        match level {
-            VerifyLevel::Server => {
-                let journal = self.journal(jsn)?;
-                if journal.tx_hash() == *tx_hash {
-                    Ok(())
-                } else {
-                    Err(LedgerError::Accumulator(
-                        ledgerdb_accumulator::AccumulatorError::ProofMismatch,
-                    ))
-                }
-            }
-            VerifyLevel::Client => {
-                let fam = self.fam.as_deref().ok_or(LedgerError::UnknownJournal(jsn))?;
-                FamTree::verify(&fam.root(), anchor, tx_hash, proof)?;
-                Ok(())
-            }
-        }
+    /// A sealed journal's tx-hash, as its block committed to it.
+    pub(crate) fn tx_hash(&self, jsn: u64) -> Option<Digest> {
+        sealed_tx_hash(&self.segments, jsn)
     }
 
-    /// Admission check (membership + π_c) against the frozen registry
-    /// view — no lock at all. A member registered after the capture
-    /// point is unknown here; callers fall back to the locked registry
-    /// for that case.
-    pub fn verify_request(&self, request: &TxRequest) -> Result<(), LedgerError> {
-        if !self.registry.is_registered(&request.client_pk) {
-            return Err(LedgerError::UnknownMember);
-        }
-        if !request.verify_signature() {
-            return Err(LedgerError::BadClientSignature);
-        }
-        Ok(())
+    /// The member registry as of the capture point — admission runs
+    /// against it with no lock at all. A member registered after the
+    /// capture is unknown here; callers fall back to the live registry.
+    pub(crate) fn registry(&self) -> &MemberRegistry {
+        &self.registry
     }
 
     /// Clone sealed blocks `[from_height, from_height + max)`.

@@ -15,11 +15,10 @@
 //! sorted `(key, value)` pairs), so checkpoints migrate across
 //! backends — only the committed roots differ.
 
-use crate::LedgerError;
-use ledgerdb_bintrie::{verify_bin_proof, BinProof, BinTrie};
+use ledgerdb_bintrie::{BinProof, BinTrie};
 use ledgerdb_crypto::digest::Digest;
 use ledgerdb_crypto::wire::{Reader, Wire, WireError, Writer};
-use ledgerdb_mpt::{verify_absence, verify_proof, Mpt, MptAbsenceProof, MptProof};
+use ledgerdb_mpt::{Mpt, MptAbsenceProof, MptProof};
 use std::fmt;
 use std::str::FromStr;
 
@@ -72,7 +71,7 @@ pub trait StateCommitment {
     /// The committed root ([`Digest::ZERO`] when empty).
     fn commitment_root(&self) -> Digest;
     /// Build a witness: inclusion if the key is present, absence
-    /// otherwise. Wire-codable; verified by [`verify_state_proof`].
+    /// otherwise. Wire-codable; verified by [`crate::verify::verify_state_proof`].
     fn prove_kv(&self, key: &[u8]) -> StateProof;
     /// All `(key, value)` pairs sorted by key bytes — the canonical
     /// checkpoint-segment order, identical across backends.
@@ -253,42 +252,6 @@ impl StateProof {
     }
 }
 
-/// Verify a [`StateProof`] against a trusted state root. On success
-/// returns the proven value (`None` = verified absence).
-pub fn verify_state_proof<'a>(
-    root: &Digest,
-    proof: &'a StateProof,
-) -> Result<Option<&'a [u8]>, LedgerError> {
-    match proof {
-        StateProof::MptPresent(p) => {
-            verify_proof(root, p).map_err(|e| LedgerError::State(e.to_string()))?;
-            Ok(Some(&p.value))
-        }
-        StateProof::MptAbsent(p) => {
-            verify_absence(root, p).map_err(|e| LedgerError::State(e.to_string()))?;
-            Ok(None)
-        }
-        StateProof::BinPresent(p) => {
-            let value = verify_bin_proof(root, p)
-                .map_err(|e| LedgerError::State(e.to_string()))?;
-            match value {
-                Some(v) => Ok(Some(v)),
-                // The envelope claimed inclusion but the proof shape
-                // demonstrates absence: structurally inconsistent.
-                None => Err(LedgerError::State("inclusion tag on absence proof".to_string())),
-            }
-        }
-        StateProof::BinAbsent(p) => {
-            let value = verify_bin_proof(root, p)
-                .map_err(|e| LedgerError::State(e.to_string()))?;
-            match value {
-                None => Ok(None),
-                Some(_) => Err(LedgerError::State("absence tag on inclusion proof".to_string())),
-            }
-        }
-    }
-}
-
 impl Wire for StateProof {
     fn encode(&self, w: &mut Writer) {
         match self {
@@ -325,6 +288,7 @@ impl Wire for StateProof {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify::verify_state_proof;
 
     fn populated(backend: StateBackend) -> WorldState {
         let mut ws = WorldState::new(backend);

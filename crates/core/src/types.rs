@@ -8,14 +8,6 @@ use ledgerdb_crypto::sha256::Sha256;
 use ledgerdb_timesvc::clock::Timestamp;
 use ledgerdb_timesvc::tledger::NotaryReceipt;
 
-/// Whether verification runs server-side (trusted LSP) or client-side
-/// (self-contained proofs) — §II-C's two verification manners.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum VerifyLevel {
-    Server,
-    Client,
-}
-
 /// Where π_c (the client signature) is checked before a request reaches
 /// the commit path.
 ///

@@ -90,6 +90,11 @@ pub struct ServerMetrics {
     /// — appends admitted under each [`crate::Admission`] mode.
     pub admission_verify: Arc<Counter>,
     pub admission_proxy: Arc<Counter>,
+    /// `ledger_verifies_total` / `ledger_verify_seconds` — `Verify`
+    /// requests answered from the ledger's own tx-hashes (§II-C's
+    /// server manner).
+    pub verifies: Arc<Counter>,
+    pub verify_seconds: Arc<Histogram>,
     /// Per-kind counters/latency, indexed by [`kind_index`].
     pub requests: Vec<RequestMetrics>,
 }
@@ -113,6 +118,8 @@ impl ServerMetrics {
             error_frames: registry.counter("server_error_frames_total"),
             admission_verify: registry.counter("server_admission_verify_total"),
             admission_proxy: registry.counter("server_admission_proxy_total"),
+            verifies: registry.counter("ledger_verifies_total"),
+            verify_seconds: registry.histogram("ledger_verify_seconds", Unit::Seconds),
             requests,
         }
     }

@@ -364,13 +364,19 @@ impl RemoteLedger {
     }
 
     /// Append + seal, then sync the block feed and verify the receipt
-    /// against the client's own verified chain before returning it.
+    /// against the client's own verified chain, and against `request`,
+    /// before returning it.
     pub fn append_committed_verified(
         &mut self,
         request: TxRequest,
     ) -> Result<Receipt, RemoteError> {
+        let request_hash = request.hash();
         let receipt = self.append_committed(request)?;
         self.sync()?;
+        // A receipt for somebody else's request is not this append's.
+        if receipt.request_hash != request_hash {
+            return Err(RemoteError::Verify(LedgerError::BadReceipt));
+        }
         self.client.verify_receipt(&receipt).map_err(RemoteError::Verify)?;
         Ok(receipt)
     }
@@ -846,6 +852,55 @@ mod tests {
             "the deadline bounds the wait: {:?}",
             start.elapsed()
         );
+    }
+
+    #[test]
+    fn receipt_for_someone_elses_request_is_rejected() {
+        // A stub serving an honest ledger's handshake and block feed,
+        // which answers every committed append with the genuine,
+        // LSP-signed receipt of jsn 0 — a journal that is not the
+        // caller's request.
+        let (ledger, alice) = shared(4);
+        for nonce in 0..4 {
+            ledger.append(tx(&alice, nonce)).unwrap();
+        }
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        thread::spawn(move || {
+            let Some(Ok(mut stream)) = listener.incoming().next() else { return };
+            while let Ok(body) = read_frame(&mut stream, DEFAULT_MAX_FRAME) {
+                let response = match Request::from_wire(&body) {
+                    Ok(Request::Hello) => Response::Hello(ServerInfo {
+                        protocol_version: crate::protocol::PROTOCOL_VERSION,
+                        ledger_id: ledger.id(),
+                        lsp_pk: ledger.lsp_public_key(),
+                        fam_delta: ledger.fam_delta(),
+                        journal_count: ledger.journal_count(),
+                        block_count: ledger.block_count(),
+                    }),
+                    Ok(Request::AppendCommitted(_)) => {
+                        Response::Committed(ledger.receipt(0).unwrap().unwrap())
+                    }
+                    Ok(Request::GetBlockFeed { from_height, max_blocks }) => {
+                        Response::BlockFeed(ledger.blocks_from(from_height, max_blocks))
+                    }
+                    other => panic!("unexpected request {other:?}"),
+                };
+                if write_frame(&mut stream, &response.to_wire()).is_err() {
+                    return;
+                }
+            }
+        });
+
+        let mut remote = RemoteLedger::connect_with(addr, fast_config()).unwrap();
+        let err = remote.append_committed_verified(tx(&alice, 99)).unwrap_err();
+        assert!(
+            matches!(err, RemoteError::Verify(LedgerError::BadReceipt)),
+            "a receipt bound to another request must not verify, got: {err}"
+        );
+        // The receipt itself is genuine: only the request binding fails.
+        let stolen = remote.append_committed(tx(&alice, 99)).unwrap();
+        remote.client().verify_receipt(&stolen).unwrap();
     }
 
     #[test]

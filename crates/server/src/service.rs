@@ -17,7 +17,8 @@ use crate::protocol::{
 };
 use crate::server::ServerConfig;
 use ledgerdb_accumulator::fam::TrustedAnchor;
-use ledgerdb_core::{ShardedLedger, SharedLedger, TxRequest, VerifyLevel};
+use ledgerdb_accumulator::AccumulatorError;
+use ledgerdb_core::{ShardedLedger, SharedLedger, TxRequest};
 use ledgerdb_telemetry::trace::{self, StageSpan, TraceContext, TraceId, TraceScope};
 use ledgerdb_telemetry::{recorder, Registry};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -235,16 +236,19 @@ impl RequestService {
                     Err(e) => Response::Error(ErrorFrame::from_ledger_error(&e)),
                 }
             }
-            Request::Verify { jsn, tx_hash, proof, anchor } => {
-                self.route_jsn(jsn, |shard, local| {
-                    match shard
-                        .verify_existence(local, &tx_hash, &proof, &anchor, VerifyLevel::Server)
-                    {
-                        Ok(()) => Response::Verified,
-                        Err(e) => Response::Error(ErrorFrame::from_ledger_error(&e)),
-                    }
-                })
-            }
+            // §II-C's server manner: the LSP answers from its own
+            // records, so the proof and anchor are not consulted.
+            Request::Verify { jsn, tx_hash, .. } => self.route_jsn(jsn, |shard, local| {
+                let _span = self.metrics.verify_seconds.time("ledger_verify");
+                self.metrics.verifies.inc();
+                match shard.tx_hash(local) {
+                    Ok(held) if held == tx_hash => Response::Verified,
+                    Ok(_) => Response::Error(ErrorFrame::from_ledger_error(
+                        &AccumulatorError::ProofMismatch.into(),
+                    )),
+                    Err(e) => Response::Error(ErrorFrame::from_ledger_error(&e)),
+                }
+            }),
             Request::GetAnchor => Response::Anchor(self.shared.anchor()),
             Request::GetBlockFeed { from_height, max_blocks } => {
                 Response::BlockFeed(self.shared.blocks_from(from_height, max_blocks))
@@ -506,5 +510,44 @@ impl RequestService {
             code: ErrorCode::Busy,
             detail: "connection limit reached; retry with backoff".into(),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::ErrorCode;
+    use crate::testutil::shared;
+    use ledgerdb_crypto::wire::Wire;
+
+    #[test]
+    fn verify_answers_from_the_ledgers_own_tx_hash_and_counts() {
+        let (ledger, alice) = shared(4);
+        for nonce in 0..6u64 {
+            ledger.append(TxRequest::signed(&alice, vec![nonce as u8], vec![], nonce)).unwrap();
+        }
+        let registry = Arc::new(Registry::new());
+        let config = ServerConfig { registry: registry.clone(), ..ServerConfig::default() };
+        let service = RequestService::start(ledger.clone(), &config);
+        let verifies = || {
+            ledgerdb_telemetry::parse_value(&ledgerdb_telemetry::render(&registry), "ledger_verifies_total")
+                .unwrap_or(0.0)
+        };
+        let before = verifies();
+
+        let anchor = ledger.anchor();
+        let (tx_hash, proof) = ledger.prove_existence(2, &anchor).unwrap();
+        let good = Request::Verify { jsn: 2, tx_hash, proof: proof.clone(), anchor: anchor.clone() };
+        assert_eq!(service.handle(good).to_wire(), Response::Verified.to_wire());
+
+        let forged = ledgerdb_crypto::sha256(b"never appended");
+        let bad = Request::Verify { jsn: 2, tx_hash: forged, proof, anchor };
+        let rejected = Response::Error(ErrorFrame {
+            code: ErrorCode::Rejected,
+            detail: "accumulator failure: proof does not match trusted root".into(),
+        });
+        assert_eq!(service.handle(bad).to_wire(), rejected.to_wire());
+
+        assert_eq!(verifies() - before, 2.0, "each Verify request counts once");
     }
 }

@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example copyright_lineage`
 
 use ledgerdb::clue::cm_tree::CmTree;
-use ledgerdb::core::{LedgerConfig, LedgerDb, MemberRegistry, TxRequest, VerifyLevel};
+use ledgerdb::core::{LedgerConfig, LedgerDb, MemberRegistry, TxRequest};
 use ledgerdb::crypto::ca::{CertificateAuthority, Role};
 use ledgerdb::crypto::keys::KeyPair;
 use ledgerdb::timesvc::attack::{one_way_amplification, two_way_attack};
@@ -71,9 +71,6 @@ fn main() {
         "a lineage missing a transfer must not verify"
     );
     println!("dropping the 2010 transfer makes verification fail (as it must)");
-
-    // Server-side verification is also available when the LSP is trusted.
-    ledger.verify_clue(&proof, VerifyLevel::Server).unwrap();
 
     // --- Why the when factor needs two-way pegging ---------------------
     println!("\ntimestamp-attack comparison (§III-B):");

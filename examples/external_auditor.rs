@@ -9,7 +9,9 @@
 //!
 //! Run with: `cargo run --release --example external_auditor`
 
-use ledgerdb::core::{LedgerClient, LedgerConfig, LedgerDb, MemberRegistry, TxRequest};
+use ledgerdb::accumulator::fam::FamProof;
+use ledgerdb::clue::cm_tree::ClueProof;
+use ledgerdb::core::{LedgerClient, LedgerConfig, LedgerDb, MemberRegistry, Receipt, TxRequest};
 use ledgerdb::crypto::ca::{CertificateAuthority, Role};
 use ledgerdb::crypto::keys::KeyPair;
 use ledgerdb::crypto::sha256;
@@ -52,19 +54,21 @@ fn main() {
 
     // 2. Verify a receipt delivered as bytes.
     let receipt_bytes = ledger.receipt(17).unwrap().unwrap().to_wire();
-    let receipt = auditor.verify_receipt_bytes(&receipt_bytes).unwrap();
+    let receipt = Receipt::from_wire(&receipt_bytes).unwrap();
+    auditor.verify_receipt(&receipt).unwrap();
     println!("receipt for jsn {} verified ({} bytes on the wire)", receipt.jsn, receipt_bytes.len());
 
     // 3. Verify an existence proof generated against the auditor's anchor.
     let anchor = auditor.anchor();
     let (tx_hash, proof) = ledger.prove_existence(42, &anchor).unwrap();
     let proof_bytes = proof.to_wire();
-    auditor.verify_existence_bytes(&tx_hash, &proof_bytes).unwrap();
+    auditor.verify_existence(&tx_hash, &FamProof::from_wire(&proof_bytes).unwrap()).unwrap();
     println!("existence of jsn 42 verified ({} bytes of proof)", proof_bytes.len());
 
     // 4. Verify a complete case lineage from bytes.
     let clue_bytes = ledger.prove_clue("case-2").unwrap().to_wire();
-    let clue_proof = auditor.verify_clue_bytes(&clue_bytes).unwrap();
+    let clue_proof = ClueProof::from_wire(&clue_bytes).unwrap();
+    auditor.verify_clue(&clue_proof).unwrap();
     println!(
         "lineage 'case-2' verified: {} records ({} bytes of proof)",
         clue_proof.entries.len(),

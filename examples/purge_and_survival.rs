@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example purge_and_survival`
 
-use ledgerdb::core::{audit_ledger, AuditConfig, LedgerConfig, LedgerDb, MemberRegistry, TxRequest, VerifyLevel};
+use ledgerdb::core::{audit_ledger, verify, AuditConfig, LedgerConfig, LedgerDb, MemberRegistry, TxRequest};
 use ledgerdb::crypto::ca::{CertificateAuthority, Role};
 use ledgerdb::crypto::keys::KeyPair;
 use ledgerdb::crypto::multisig::MultiSignature;
@@ -73,9 +73,7 @@ fn main() {
     // Recent journals stay fully verifiable; the fam digests were kept.
     let anchor = ledger.anchor();
     let (tx_hash, proof) = ledger.prove_existence(38, &anchor).unwrap();
-    ledger
-        .verify_existence(38, &tx_hash, &proof, &anchor, VerifyLevel::Client)
-        .unwrap();
+    verify::existence(&ledger.journal_root(), &anchor, &tx_hash, &proof).unwrap();
     println!("post-purge journal 38 existence-verified against the live root");
 
     // Protocol 1: the audit validates the purge approvals and replays from

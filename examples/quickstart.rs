@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use ledgerdb::core::{audit_ledger, AuditConfig, LedgerConfig, LedgerDb, MemberRegistry, TxRequest, VerifyLevel};
+use ledgerdb::core::{audit_ledger, verify, AuditConfig, LedgerConfig, LedgerDb, MemberRegistry, TxRequest};
 use ledgerdb::crypto::ca::{CertificateAuthority, Role};
 use ledgerdb::crypto::keys::KeyPair;
 use ledgerdb::timesvc::clock::Clock;
@@ -48,9 +48,7 @@ fn main() {
     // 5. what: client-side existence verification via the fam tree.
     let anchor = ledger.anchor();
     let (tx_hash, proof) = ledger.prove_existence(2, &anchor).unwrap();
-    ledger
-        .verify_existence(2, &tx_hash, &proof, &anchor, VerifyLevel::Client)
-        .unwrap();
+    verify::existence(&ledger.journal_root(), &anchor, &tx_hash, &proof).unwrap();
     println!("existence of jsn 2 verified against root {}", ledger.journal_root());
 
     // 6. when: anchor the ledger to a T-Ledger two-way pegged to a TSA
@@ -65,7 +63,7 @@ fn main() {
     // 7. N-lineage: verify the whole clue trail in one shot (§IV).
     ledger.seal_block();
     let clue_proof = ledger.prove_clue("orders-2026").unwrap();
-    ledger.verify_clue(&clue_proof, VerifyLevel::Client).unwrap();
+    verify::clue(&ledger.clue_root(), &clue_proof).unwrap();
     println!(
         "clue 'orders-2026' verified: {} journals, proof carries {} digests",
         clue_proof.entries.len(),

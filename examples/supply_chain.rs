@@ -12,8 +12,8 @@
 
 use ledgerdb::clue::cm_tree::CmTree;
 use ledgerdb::core::{
-    audit_ledger, AuditConfig, LedgerConfig, LedgerDb, MemberRegistry, OccultMode, TxRequest,
-    VerifyLevel,
+    audit_ledger, verify, AuditConfig, LedgerConfig, LedgerDb, MemberRegistry, OccultMode,
+    TxRequest,
 };
 use ledgerdb::crypto::ca::{CertificateAuthority, Role};
 use ledgerdb::crypto::keys::KeyPair;
@@ -130,9 +130,7 @@ fn main() {
     // Existence verification still passes via the retained hash.
     let anchor = ledger.anchor();
     let (tx_hash, fam_proof) = ledger.prove_existence(leaked_jsn, &anchor).unwrap();
-    ledger
-        .verify_existence(leaked_jsn, &tx_hash, &fam_proof, &anchor, VerifyLevel::Client)
-        .unwrap();
+    verify::existence(&ledger.journal_root(), &anchor, &tx_hash, &fam_proof).unwrap();
     println!("occulted record still existence-verifiable (retained hash)");
 
     // --- Full Dasein-complete audit ------------------------------------

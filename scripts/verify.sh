@@ -21,11 +21,13 @@ for RUN in $(seq 1 200); do
     || { printf '%s\n' "$OUT"; echo "recorder torture failed on run $RUN"; exit 1; }
 done
 
-echo "== cargo build --release (workspace: root lib + server/bench binaries) =="
+echo "== cargo build --release (workspace, every target) =="
 # --workspace matters: the root Cargo.toml is a package + workspace, so a
 # bare `cargo build` would skip the member crates' binaries (ledgerd,
 # ledgerd-smoke, ledgerd-stats) that the smoke stages below execute.
-cargo build --release --workspace
+# --all-targets adds the examples and `crates/bench/benches/*`, which no
+# test compiles: an API change that breaks them fails here.
+cargo build --release --workspace --all-targets
 
 echo "== release suites (torture, crash points, differential oracles) =="
 # torture_recovery: seeded fault sweep through the durability layer.

@@ -10,9 +10,10 @@
 //! keep the reason it exists: witnesses at least 4x smaller than the
 //! MPT's.
 
-use ledgerdb::core::state::{verify_state_proof, StateBackend, StateCommitment, WorldState};
+use ledgerdb::core::state::{StateBackend, StateCommitment, WorldState};
 use ledgerdb::core::{
-    LedgerConfig, LedgerDb, MemberRegistry, OccultMode, SharedLedger, TxRequest, VerifyLevel,
+    verify, verify_state_proof, LedgerConfig, LedgerDb, MemberRegistry, OccultMode, SharedLedger,
+    TxRequest,
 };
 use ledgerdb::crypto::ca::{CertificateAuthority, Role};
 use ledgerdb::crypto::keys::KeyPair;
@@ -151,7 +152,7 @@ pub(crate) fn run_workload(backend: StateBackend) -> Observation {
             // from bytes a remote client could have received.
             let wire = proof.to_wire();
             let decoded = ledgerdb::core::state::StateProof::from_wire(&wire).unwrap();
-            LedgerDb::verify_state(&state_root, &decoded)
+            verify_state_proof(&state_root, &decoded)
                 .expect("fresh proof verifies against the live root")
                 .map(|v| v.to_vec())
         })
@@ -214,16 +215,8 @@ fn backends_agree_on_every_observable_behavior() {
         let (h_mpt, p_mpt) = mpt.shared.prove_existence(jsn, &anchor_mpt).unwrap();
         let (h_bin, p_bin) = bin.shared.prove_existence(jsn, &anchor_bin).unwrap();
         assert_eq!(h_mpt, h_bin, "jsn {jsn}: tx hash is backend-independent");
-        mpt.shared
-            .with_read(|l| {
-                l.verify_existence(jsn, &h_mpt, &p_mpt, &anchor_mpt, VerifyLevel::Client)
-            })
-            .unwrap();
-        bin.shared
-            .with_read(|l| {
-                l.verify_existence(jsn, &h_bin, &p_bin, &anchor_bin, VerifyLevel::Client)
-            })
-            .unwrap();
+        verify::existence(&mpt.shared.journal_root(), &anchor_mpt, &h_mpt, &p_mpt).unwrap();
+        verify::existence(&bin.shared.journal_root(), &anchor_bin, &h_bin, &p_bin).unwrap();
     }
 }
 
@@ -235,8 +228,8 @@ fn proofs_do_not_cross_verify_between_backends() {
     // verification is anchored to the root, not to trust in the server.
     let p_mpt = mpt.shared.prove_state("acct-3");
     let p_bin = bin.shared.prove_state("acct-3");
-    assert!(LedgerDb::verify_state(&bin.state_root, &p_mpt).is_err());
-    assert!(LedgerDb::verify_state(&mpt.state_root, &p_bin).is_err());
+    assert!(verify_state_proof(&bin.state_root, &p_mpt).is_err());
+    assert!(verify_state_proof(&mpt.state_root, &p_bin).is_err());
 }
 
 #[test]

@@ -4,7 +4,7 @@
 
 use ledgerdb::clue::cm_tree::CmTree;
 use ledgerdb::core::{
-    audit_ledger, AuditConfig, LedgerConfig, LedgerDb, MemberRegistry, TxRequest, VerifyLevel,
+    audit_ledger, verify, AuditConfig, LedgerConfig, LedgerDb, MemberRegistry, TxRequest,
 };
 use ledgerdb::crypto::ca::{CertificateAuthority, Role};
 use ledgerdb::crypto::keys::KeyPair;
@@ -59,9 +59,7 @@ fn full_dasein_cycle() {
     let anchor = w.ledger.anchor();
     for jsn in 0..w.ledger.journal_count() {
         let (tx_hash, proof) = w.ledger.prove_existence(jsn, &anchor).unwrap();
-        w.ledger
-            .verify_existence(jsn, &tx_hash, &proof, &anchor, VerifyLevel::Client)
-            .unwrap();
+        verify::existence(&w.ledger.journal_root(), &anchor, &tx_hash, &proof).unwrap();
     }
 
     // who: receipts verify and are deterministic across calls.
@@ -153,9 +151,9 @@ fn server_and_client_verification_agree() {
     w.ledger.seal_block();
     let anchor = w.ledger.anchor();
     let proof = w.ledger.prove_clue("k").unwrap();
-    w.ledger.verify_clue(&proof, VerifyLevel::Server).unwrap();
-    w.ledger.verify_clue(&proof, VerifyLevel::Client).unwrap();
+    verify::clue(&w.ledger.clue_root(), &proof).unwrap();
     let (tx_hash, fp) = w.ledger.prove_existence(11, &anchor).unwrap();
-    w.ledger.verify_existence(11, &tx_hash, &fp, &anchor, VerifyLevel::Server).unwrap();
-    w.ledger.verify_existence(11, &tx_hash, &fp, &anchor, VerifyLevel::Client).unwrap();
+    // Server manner: the LSP's own record; client manner: the proof.
+    assert_eq!(w.ledger.tx_hash(11), Some(tx_hash));
+    verify::existence(&w.ledger.journal_root(), &anchor, &tx_hash, &fp).unwrap();
 }

@@ -2,8 +2,8 @@
 //! §III-A3) and the threat scenarios of §II-B.
 
 use ledgerdb::core::{
-    audit_ledger, AuditConfig, LedgerConfig, LedgerDb, LedgerError, MemberRegistry, OccultMode,
-    TxRequest, VerifyLevel,
+    audit_ledger, verify, AuditConfig, LedgerConfig, LedgerDb, LedgerError, MemberRegistry,
+    OccultMode, TxRequest,
 };
 use ledgerdb::crypto::ca::{CertificateAuthority, Role};
 use ledgerdb::crypto::keys::KeyPair;
@@ -76,9 +76,7 @@ fn occult_preserves_subsequent_verification() {
     let anchor = w.ledger.anchor();
     for jsn in 0..w.ledger.journal_count() {
         let (tx_hash, proof) = w.ledger.prove_existence(jsn, &anchor).unwrap();
-        w.ledger
-            .verify_existence(jsn, &tx_hash, &proof, &anchor, VerifyLevel::Client)
-            .unwrap();
+        verify::existence(&w.ledger.journal_root(), &anchor, &tx_hash, &proof).unwrap();
     }
 }
 

@@ -9,8 +9,8 @@
 use ledgerdb::core::checkpoint::decode_cm;
 use ledgerdb::core::recovery::{open_durable, recover_with_checkpoint, CHECKPOINT_DIR, PAYLOAD_FILE};
 use ledgerdb::core::{
-    audit_ledger, AuditConfig, Block, CheckpointManifest, Journal, LedgerConfig, LedgerDb,
-    LedgerError, MemberRegistry, OccultMode, TxRequest, VerifyLevel,
+    audit_ledger, verify, AuditConfig, Block, CheckpointManifest, Journal, LedgerConfig, LedgerDb,
+    LedgerError, MemberRegistry, OccultMode, TxRequest,
 };
 use ledgerdb::crypto::ca::{CertificateAuthority, Role};
 use ledgerdb::crypto::keys::KeyPair;
@@ -214,12 +214,10 @@ fn round_trip_preserves_roots_and_proofs() {
     let anchor = restored.anchor();
     for jsn in 0..restored.journal_count() {
         let (tx_hash, proof) = restored.prove_existence(jsn, &anchor).unwrap();
-        restored
-            .verify_existence(jsn, &tx_hash, &proof, &anchor, VerifyLevel::Client)
-            .unwrap();
+        verify::existence(&restored.journal_root(), &anchor, &tx_hash, &proof).unwrap();
     }
     let clue_proof = restored.prove_clue("c1").unwrap();
-    restored.verify_clue(&clue_proof, VerifyLevel::Client).unwrap();
+    verify::clue(&restored.clue_root(), &clue_proof).unwrap();
 
     // And the restored ledger passes the full audit.
     audit_ledger(&restored, &AuditConfig::default()).unwrap();
