@@ -190,6 +190,33 @@ impl FamTree {
         self.epoch_first_jsn.push(self.journal_count);
     }
 
+    /// Undo appends back to `journal_count` journals, restoring the
+    /// exact tree (root, anchor, proofs) as it stood then. An epoch is
+    /// rolled by the append *after* it fills, so a count at or below the
+    /// open epoch's first jsn un-rolls that epoch. No-op past the end;
+    /// fails if it would have to un-roll an epoch a purge erased.
+    pub fn truncate(&mut self, journal_count: u64) -> Result<(), AccumulatorError> {
+        if journal_count >= self.journal_count {
+            return Ok(());
+        }
+        // The epoch left open: the last one whose first jsn lies below
+        // the target (epoch 0 at least).
+        let open = self.epoch_first_jsn.partition_point(|&first| first < journal_count).max(1) - 1;
+        if open < self.sealed.len() {
+            let SealedEpoch::Full(tree) = &self.sealed[open] else {
+                return Err(AccumulatorError::EpochErased(open));
+            };
+            self.current = Shrubs::clone(tree);
+            self.sealed.truncate(open);
+            self.sealed_roots.truncate(open);
+            self.epoch_first_jsn.truncate(open + 1);
+        }
+        let merged_leaf = u64::from(open > 0);
+        self.current.truncate(journal_count - self.epoch_first_jsn[open] + merged_leaf);
+        self.journal_count = journal_count;
+        Ok(())
+    }
+
     /// Capture a trusted anchor covering everything sealed so far.
     pub fn anchor(&self) -> TrustedAnchor {
         TrustedAnchor { epoch_roots: self.sealed_roots.clone() }
@@ -611,6 +638,33 @@ mod tests {
         assert_eq!(frozen.retained_nodes(), fam.retained_nodes());
         assert_eq!(frozen.journal_count(), fam.journal_count());
         assert!(fam.current.node_count() <= 2 * fam.epoch_capacity());
+    }
+
+    #[test]
+    fn truncate_restores_every_earlier_tree() {
+        // δ = 2: epochs of 4 leaves, so 23 journals roll seven epochs.
+        let (full, leaves) = build(2, 23);
+        for keep in 0..=23u64 {
+            let mut tree = full.clone();
+            tree.truncate(keep).unwrap();
+            let (fresh, _) = build(2, keep);
+            assert_eq!(tree.journal_count(), keep);
+            assert_eq!(tree.root(), fresh.root(), "root after truncating to {keep}");
+            assert_eq!(tree.sealed_roots(), fresh.sealed_roots(), "anchor after truncating to {keep}");
+            // Appends continue exactly as on a tree that never grew.
+            for leaf in &leaves[keep as usize..] {
+                tree.append(*leaf);
+            }
+            assert_eq!(tree.root(), full.root());
+            assert_eq!(tree.sealed_roots(), full.sealed_roots());
+        }
+    }
+
+    #[test]
+    fn truncate_refuses_to_unroll_an_erased_epoch() {
+        let (mut tree, _) = build(2, 12);
+        tree.erase_epochs_below(8);
+        assert!(matches!(tree.truncate(2), Err(AccumulatorError::EpochErased(_))));
     }
 
     #[test]

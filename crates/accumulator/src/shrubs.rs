@@ -143,6 +143,16 @@ impl Shrubs {
         index
     }
 
+    /// Drop every leaf from `leaf_count` on, restoring the exact state
+    /// before they were appended (post-order storage is append-only, so
+    /// that state is a prefix of the nodes). No-op past the end.
+    pub fn truncate(&mut self, leaf_count: u64) {
+        if leaf_count < self.leaf_count {
+            self.nodes.truncate(node_count(leaf_count) as usize);
+            self.leaf_count = leaf_count;
+        }
+    }
+
     /// Digest of a node by post-order position.
     pub fn node(&self, pos: u64) -> Option<Digest> {
         self.nodes.get(pos as usize).copied()

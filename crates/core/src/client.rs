@@ -98,7 +98,9 @@ impl LedgerClient {
     /// remote block-download API serves suffixes): already-verified
     /// heights are skipped, and the first new block must extend the
     /// verified tip by the [chain rule](verify::chain). Rejects on the
-    /// first inconsistency; earlier accepted blocks remain trusted.
+    /// first inconsistency; earlier accepted blocks remain trusted, and
+    /// the rejected block leaves no trace in the fam replica, so a later
+    /// honest feed still syncs.
     pub fn sync(&mut self, blocks: &[Block]) -> Result<SyncReport, LedgerError> {
         let mut report = SyncReport::default();
         let verified = self.tip.height;
@@ -108,10 +110,12 @@ impl LedgerClient {
             })?;
             // Replay the journal digests through the local fam replica and
             // require the server's recorded root to re-derive.
+            let replayed = self.fam.journal_count();
             for tx_hash in &block.tx_hashes {
                 self.fam.append(*tx_hash);
             }
             if self.fam.root() != block.info.journal_root {
+                self.fam.truncate(replayed).expect("the client's replica never erases epochs");
                 return Err(LedgerError::AuditFailed(format!(
                     "sync: block {} journal root does not replay",
                     block.height
@@ -231,17 +235,47 @@ mod tests {
         assert_eq!(decoded.entries.len(), 10);
     }
 
+    /// Feed `ledger`'s chain to a fresh client with one tx-hash of block
+    /// `tampered` swapped (threat-B tampering), then the honest chain.
+    /// Earlier blocks stay accepted, and the rejection must leave nothing
+    /// of the forged block in the client's replica.
+    fn forged_block_rejected_then_honest_feed_syncs(ledger: &crate::ledger::LedgerDb, tampered: usize) {
+        let mut client = LedgerClient::new(*ledger.lsp_public_key(), ledger.fam_delta());
+        let honest: Vec<_> = ledger.blocks().cloned().collect();
+        let mut forged = honest.clone();
+        forged[tampered].tx_hashes[1] = sha256(b"tampered journal");
+        let err = client.sync(&forged).unwrap_err();
+        assert!(matches!(err, LedgerError::AuditFailed(_)));
+        assert!(format!("{err}").contains("journal root does not replay"), "{err}");
+        assert_eq!(client.height(), tampered as u64);
+        assert_eq!(client.verified_journals(), honest[tampered].first_jsn);
+        client.sync(&honest).unwrap();
+        assert_eq!(client.journal_root(), ledger.journal_root());
+        assert_eq!(client.height(), honest.len() as u64);
+    }
+
     #[test]
     fn forged_block_feed_rejected() {
         let (f, _) = synced_world();
-        let mut fresh = LedgerClient::new(*f.ledger.lsp_public_key(), f.ledger.fam_delta());
-        let mut blocks: Vec<_> = f.ledger.blocks().cloned().collect();
-        // A malicious LSP swaps one tx hash (threat-B tampering).
-        blocks[2].tx_hashes[1] = sha256(b"tampered journal");
-        let err = fresh.sync(&blocks).unwrap_err();
-        assert!(matches!(err, LedgerError::AuditFailed(_)));
-        // Earlier blocks were still accepted.
-        assert_eq!(fresh.height(), 2);
+        forged_block_rejected_then_honest_feed_syncs(&f.ledger, 2);
+    }
+
+    #[test]
+    fn forged_block_across_an_epoch_boundary_is_unrolled() {
+        // δ = 2 (epochs of 4 leaves) and blocks of 4: block 2 holds jsns
+        // 8..=11, and jsn 10 rolls an epoch.
+        let f = fixture(4);
+        let config = crate::LedgerConfig {
+            block_size: 4,
+            fam_delta: 2,
+            name: "epochs".into(),
+            state_backend: Default::default(),
+        };
+        let mut ledger = crate::ledger::LedgerDb::new(config, f.ledger.registry().clone());
+        for i in 0..20u64 {
+            ledger.append(TxRequest::signed(&f.alice, vec![i as u8], vec![], i)).unwrap();
+        }
+        forged_block_rejected_then_honest_feed_syncs(&ledger, 2);
     }
 
     #[test]

@@ -41,9 +41,9 @@ pub enum LedgerError {
     Recovery(String),
     /// A receipt failed verification.
     BadReceipt,
-    /// A pooled pipeline task panicked while processing this item. The
-    /// pool contains the panic (siblings and the ledger are unaffected);
-    /// the item is rejected with the panic message.
+    /// A fanned-out batch item (an ECDSA admission) panicked. The panic
+    /// is contained to the item (siblings and the ledger are
+    /// unaffected); the item is rejected with the panic message.
     TaskFailed(String),
     /// A sharded-deployment failure: an unknown shard id, an epoch
     /// anchor the client cannot verify, or a composed proof that names

@@ -19,6 +19,7 @@ pub mod checkpoint;
 pub mod client;
 pub mod codec;
 pub mod error;
+mod fanout;
 pub mod ledger;
 pub mod member;
 pub mod metrics;

@@ -11,6 +11,7 @@
 //! which snapshots summarize only by root. So proof serving does not
 //! stall behind a writer holding the lock across an fsync.
 
+use crate::fanout;
 use crate::ledger::{AppendAck, LedgerDb, OccultMode, PreparedTx};
 use crate::snapshot::{ReadSnapshot, SnapshotHub};
 use crate::state::{StateBackend, StateProof};
@@ -22,15 +23,8 @@ use ledgerdb_crypto::digest::Digest;
 use ledgerdb_crypto::keys::PublicKey;
 use ledgerdb_crypto::multisig::MultiSignature;
 use ledgerdb_crypto::sync::RwLock;
-use ledgerdb_pool::{Pool, TaskPanic};
-use ledgerdb_telemetry::trace::{self, StageSpan};
+use ledgerdb_telemetry::trace::StageSpan;
 use std::sync::Arc;
-
-/// A pool task's slot as a per-item result: a panicking task becomes a
-/// typed [`LedgerError::TaskFailed`] in place, its siblings unaffected.
-fn task_result<T>(slot: Result<Result<T, LedgerError>, TaskPanic>) -> Result<T, LedgerError> {
-    slot.unwrap_or_else(|panic| Err(LedgerError::TaskFailed(panic.message)))
-}
 
 /// A cloneable, thread-safe handle to one ledger.
 #[derive(Clone)]
@@ -85,48 +79,35 @@ impl SharedLedger {
     /// admission per `admission` (membership + π_c against the
     /// lock-free snapshot registry under [`Admission::Verify`]; nothing
     /// under [`Admission::ProxyTrusted`], where π_c was checked
-    /// upstream) and digest precompute ([`PreparedTx::compute`]). With
-    /// a `pool` the preparation fans out across it — a panicking item
+    /// upstream), then digest precompute ([`PreparedTx::compute`]). The
+    /// ECDSA admission fans out across the cores (a panicking item
     /// surfaces as a typed per-item [`LedgerError::TaskFailed`], its
-    /// siblings commit normally; without one it runs inline on the
-    /// caller. The lock is then taken once, for structural inserts plus
-    /// one WAL write ([`LedgerDb::append_batch_prepared`], which also
-    /// enforces membership under both admissions).
+    /// siblings commit normally); the digests run inline. The lock is
+    /// then taken once, for structural inserts plus one WAL write
+    /// ([`LedgerDb::append_batch_prepared`], which also enforces
+    /// membership under both admissions).
     ///
     /// Results are positional: rejected items report their error in
     /// place and consume neither a jsn nor a payload slot, and jsn
-    /// assignment — done under the lock in request order — is
-    /// byte-for-byte independent of `pool`.
+    /// assignment is done under the lock in request order.
     pub fn append_batch(
         &self,
         requests: Vec<TxRequest>,
         admission: Admission,
-        pool: Option<&Pool>,
     ) -> Result<Vec<Result<AppendAck, LedgerError>>, LedgerError> {
         let precompute = StageSpan::begin("precompute");
-        let prepare = |request: TxRequest| {
-            if admission == Admission::Verify {
-                self.verify_request(&request)?;
+        let prepared: Vec<Result<PreparedTx, LedgerError>> = match admission {
+            Admission::Verify => fanout::try_map(&requests, |r| {
+                let _span = StageSpan::begin("admission_task");
+                self.verify_request(r)
+            })
+            .into_iter()
+            .zip(requests)
+            .map(|(admitted, request)| admitted.map(|()| PreparedTx::compute(request)))
+            .collect(),
+            Admission::ProxyTrusted => {
+                requests.into_iter().map(|request| Ok(PreparedTx::compute(request))).collect()
             }
-            Ok(PreparedTx::compute(request))
-        };
-        let prepared: Vec<Result<PreparedTx, LedgerError>> = match pool {
-            Some(pool) => {
-                // Worker spans carry the submitting request's scope
-                // across the fan-out, so per-item verify/digest work
-                // shows up (with the worker's thread id) inside that
-                // request's span tree.
-                let scope = trace::current_scope();
-                pool.try_map(&requests, |_, request| {
-                    let _scope = scope.clone().map(trace::install);
-                    let _task = StageSpan::begin("precompute_task");
-                    prepare(request.clone())
-                })
-                .into_iter()
-                .map(task_result)
-                .collect()
-            }
-            None => requests.into_iter().map(prepare).collect(),
         };
         drop(precompute);
         let _locked = StageSpan::begin("locked_insert");
@@ -333,33 +314,17 @@ impl SharedLedger {
     /// resolution: the snapshot is loaded and checked once for the
     /// whole batch, and on the fallback the read lock is acquired once
     /// — the per-item closure no longer re-resolves either. A batch
-    /// fully covered by a provable snapshot is served lock-free,
-    /// fanned out across `pool` when one is given (a panicking item
-    /// surfaces positionally as [`LedgerError::TaskFailed`]). Results
-    /// are positional.
+    /// fully covered by a provable snapshot is served lock-free and
+    /// inline: a snapshot proof only reads stored digests. Results are
+    /// positional.
     pub fn prove_existence_batch(
         &self,
         jsns: &[u64],
         anchor: &TrustedAnchor,
-        pool: Option<&ledgerdb_pool::Pool>,
     ) -> Vec<Result<(Digest, FamProof), LedgerError>> {
         let snap = self.hub.load();
         if snap.can_prove() && jsns.iter().all(|&jsn| snap.covers(jsn)) {
             self.hub.note_hit(&snap);
-            if let Some(pool) = pool {
-                // Worker spans carry the request's scope across the
-                // fan-out, exactly as the append path's precompute.
-                let scope = trace::current_scope();
-                return pool
-                    .try_map(jsns, |_, &jsn| {
-                        let _scope = scope.clone().map(trace::install);
-                        let _span = StageSpan::begin("proof_task");
-                        snap.prove_existence(jsn, anchor)
-                    })
-                    .into_iter()
-                    .map(task_result)
-                    .collect();
-            }
             return jsns.iter().map(|&jsn| snap.prove_existence(jsn, anchor)).collect();
         }
         self.hub.note_fallback(&snap);
@@ -683,7 +648,7 @@ mod tests {
             TxRequest::signed(&f.bob, b"b3".to_vec(), vec!["c".into()], 3),
         ];
         let shared = SharedLedger::new(f.ledger);
-        let results = shared.append_batch(batch, Admission::Verify, None).unwrap();
+        let results = shared.append_batch(batch, Admission::Verify).unwrap();
         assert_eq!(results.len(), 4);
         assert_eq!(results[0].as_ref().unwrap().jsn, 0);
         assert!(matches!(results[1], Err(LedgerError::UnknownMember)));
@@ -707,7 +672,7 @@ mod tests {
             seq.append(r).unwrap();
         }
         let bat = SharedLedger::new(bat.ledger);
-        let results = bat.append_batch(reqs, Admission::Verify, None).unwrap();
+        let results = bat.append_batch(reqs, Admission::Verify).unwrap();
         assert!(results.iter().all(|r| r.is_ok()));
         assert_eq!(bat.journal_count(), 10);
         assert_eq!(bat.block_count(), 2, "auto-seal fired inside the batch");

@@ -4,12 +4,13 @@
 //! batched path, no SHA-256 finalization beyond the per-journal
 //! canonical hash and no ECDSA verification may execute while the
 //! ledger write lock is held. That claim is asserted empirically by
-//! `prof_append`, which reads these counters immediately before and
-//! after the locked section.
+//! the root package's `tests/lock_window.rs`, which reads these
+//! counters immediately before and after the locked section.
 //!
 //! Relaxed atomics: the counters are diagnostics, not synchronization.
 //! They count every operation in the process, so assertions built on
-//! them must run single-threaded (the profiler does).
+//! them must run alone in their process (`lock_window` is the only test
+//! in its binary).
 //!
 //! A digest costs ~100 ns on the SHA-NI kernel, so one shared counter
 //! would be a cache line bounced between every hashing thread. The

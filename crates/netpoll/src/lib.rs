@@ -3,7 +3,7 @@
 //! A std-only readiness-polling primitive for the event-driven server:
 //! a thin, level-triggered epoll wrapper with no libc crate (raw
 //! `syscall` instructions on x86_64, minimal FFI elsewhere — see
-//! [`sys`]), in the same no-deps discipline as `crates/pool`.
+//! [`sys`]), in the same no-deps discipline as the rest of the workspace.
 //!
 //! Three types carry the whole API:
 //!

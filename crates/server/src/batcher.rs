@@ -117,18 +117,16 @@ pub struct GroupCommitter {
 
 impl GroupCommitter {
     /// Spawn the committer thread over a shared ledger, recording into
-    /// `registry`. With a compute pool, each commit window's digest
-    /// precompute fans out across it (inline on the committer thread
-    /// otherwise) *before* the write lock is taken. π_c was already
-    /// checked at [`GroupCommitter::submit`], so the off-lock stage
-    /// hashes only; the locked window is structural inserts plus one
-    /// WAL write. Results are byte-identical with or without a pool.
+    /// `registry`. π_c was already checked at
+    /// [`GroupCommitter::submit`], so a commit window's off-lock stage
+    /// only digests its payloads, inline on the committer thread,
+    /// before the write lock is taken; the locked window is structural
+    /// inserts plus one WAL write.
     pub fn start(
         shared: SharedLedger,
         config: BatchConfig,
         admission: Admission,
         registry: &Registry,
-        pool: Option<std::sync::Arc<ledgerdb_pool::Pool>>,
     ) -> Self {
         let metrics = BatchMetrics::bind(registry);
         let (tx, rx) = mpsc::channel::<Job>();
@@ -136,7 +134,7 @@ impl GroupCommitter {
         let committer_metrics = metrics.clone();
         let handle = thread::Builder::new()
             .name("ledgerd-committer".into())
-            .spawn(move || committer_loop(committer_shared, config, rx, committer_metrics, pool))
+            .spawn(move || committer_loop(committer_shared, config, rx, committer_metrics))
             .expect("spawn committer thread");
         GroupCommitter {
             shared,
@@ -220,7 +218,6 @@ fn committer_loop(
     config: BatchConfig,
     rx: mpsc::Receiver<Job>,
     metrics: BatchMetrics,
-    pool: Option<std::sync::Arc<ledgerdb_pool::Pool>>,
 ) {
     let max_batch = config.max_batch.max(1);
     loop {
@@ -253,7 +250,7 @@ fn committer_loop(
             // cores are scarce.
             thread::sleep(deadline - now);
         }
-        commit_batch(&shared, jobs, &metrics, pool.as_deref());
+        commit_batch(&shared, jobs, &metrics);
     }
 }
 
@@ -263,7 +260,6 @@ fn commit_batch(
     shared: &SharedLedger,
     mut jobs: Vec<Job>,
     metrics: &BatchMetrics,
-    pool: Option<&ledgerdb_pool::Pool>,
 ) {
     metrics.windows.inc();
     metrics.batch_size.observe(jobs.len() as u64);
@@ -281,7 +277,7 @@ fn commit_batch(
     let _commit_span = metrics.commit_seconds.time("batch_commit");
     let window: Vec<(TxRequest, bool)> =
         jobs.iter().map(|job| (job.request.clone(), job.committed)).collect();
-    match commit_window(shared, window, pool) {
+    match commit_window(shared, window) {
         Ok(outcomes) => {
             debug_assert_eq!(outcomes.len(), jobs.len());
             for (mut job, outcome) in jobs.into_iter().zip(outcomes) {
@@ -304,12 +300,11 @@ fn commit_batch(
 fn commit_window(
     shared: &SharedLedger,
     window: Vec<(TxRequest, bool)>,
-    pool: Option<&ledgerdb_pool::Pool>,
 ) -> Result<Vec<Result<CommitOutcome, ErrorFrame>>, ErrorFrame> {
     let (requests, committed): (Vec<TxRequest>, Vec<bool>) = window.into_iter().unzip();
     // π_c was verified at submit(): the window skips the redundant ECDSA.
     let results = shared
-        .append_batch(requests, Admission::ProxyTrusted, pool)
+        .append_batch(requests, Admission::ProxyTrusted)
         .map_err(|e| ErrorFrame::from_ledger_error(&e))?;
 
     // Seal before answering `committed` members: a receipt binds its
@@ -362,7 +357,6 @@ mod tests {
             BatchConfig { max_batch: 8, max_delay: Duration::from_millis(20) },
             Admission::Verify,
             Registry::global(),
-            None,
         );
         let outcomes = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..24u64)
@@ -400,7 +394,6 @@ mod tests {
             BatchConfig::default(),
             Admission::Verify,
             Registry::global(),
-            None,
         );
         let req = TxRequest::signed(&alice, b"receipt me".to_vec(), vec!["r".into()], 1);
         let outcome = committer.submit(req, true).unwrap();
@@ -423,7 +416,6 @@ mod tests {
             BatchConfig { max_batch: 4, max_delay: Duration::from_millis(50) },
             Admission::Verify,
             Registry::global(),
-            None,
         );
         let stranger = ledgerdb_crypto::keys::KeyPair::from_seed(b"not-registered");
         let outcomes = std::thread::scope(|scope| {
@@ -488,7 +480,6 @@ mod tests {
             BatchConfig { max_batch: 8, max_delay: Duration::from_millis(10) },
             Admission::ProxyTrusted,
             &telemetry,
-            None,
         );
         std::thread::scope(|scope| {
             let handles: Vec<_> = requests
@@ -539,7 +530,6 @@ mod tests {
                 BatchConfig { max_batch: 4, max_delay: Duration::from_micros(200) },
                 Admission::Verify,
                 &telemetry,
-                None,
             );
             std::thread::scope(|scope| {
                 for t in 0..4u64 {
@@ -590,7 +580,6 @@ mod tests {
             BatchConfig::default(),
             Admission::Verify,
             Registry::global(),
-            None,
         );
         committer.shutdown();
         let req = TxRequest::signed(&alice, b"late".to_vec(), vec![], 9);

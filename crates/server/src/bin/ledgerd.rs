@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! ledgerd --dir /var/lib/ledgerdb --bind 127.0.0.1:7878 \
-//!         [--workers 4]   # connection threads AND (N>1) compute pool \
+//!         [--workers 4]   # connection threads (dispatch threads with --event-loop) \
 //!         [--event-loop] [--http-addr 127.0.0.1:7879] \
 //!         [--idle-timeout-ms 60000] [--max-connections N] \
 //!         [--batch-window-us 150] [--batch-max 64] \
@@ -44,6 +44,12 @@
 //! `--max-connections` caps both listeners together, refusing the
 //! excess with a typed `Busy` frame / HTTP 503. Responses are
 //! byte-identical across both transports.
+//!
+//! Threads: `--workers N` sizes only the connection threads (or, with
+//! `--event-loop`, the dispatch threads). The ECDSA admission of an
+//! `AppendBatch` frame fans out over scoped threads, one per available
+//! core at most, whatever `--workers` says; everything else a request
+//! does runs on its own thread.
 //!
 //! Durability: every append commits through the group committer. It
 //! gathers appends for up to `--batch-window-us` or `--batch-max`
@@ -340,18 +346,11 @@ fn main() {
         eprintln!("ledgerd: {e}");
         exit(2);
     });
-    // `--workers N` sizes both thread pools: N connection threads, and
-    // (for N > 1) an N-worker compute pool that batch admission and
-    // batch proofs fan out across. With
-    // `--workers 1` the same stages run inline on the calling thread;
-    // results are byte-identical.
-    let pool = (args.workers > 1).then(|| ledgerdb_pool::Pool::new(args.workers));
     let mut server_config = ServerConfig {
         bind: args.bind.clone(),
         workers: args.workers,
         batch: args.batch,
         admission: args.admission,
-        pool,
         ..ServerConfig::default()
     };
     if let Some(cap) = args.max_connections {

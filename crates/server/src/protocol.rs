@@ -254,13 +254,13 @@ pub enum Request {
     /// exposition (counters, gauges, latency histograms).
     Stats,
     /// Append a whole batch of signed transactions in one frame. The
-    /// server digests and admission-checks the batch across its compute
-    /// pool *off* the ledger lock, then commits it behind one durability
+    /// server admission-checks (across its cores) and digests the batch
+    /// *off* the ledger lock, then commits it behind one durability
     /// barrier. Items are acked (or rejected) positionally.
     AppendBatch(Vec<TxRequest>),
     /// Existence proofs for many jsns against one caller anchor,
     /// answered positionally. Built from a single immutable read
-    /// snapshot, fanned out across the compute pool.
+    /// snapshot.
     GetProofBatch { jsns: Vec<u64>, anchor: TrustedAnchor },
     /// The recorded span events for a trace id, from the server's
     /// flight recorder (ring buffers + pinned slow/error captures).

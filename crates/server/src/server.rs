@@ -71,11 +71,6 @@ pub struct ServerConfig {
     /// exposition. Defaults to the process-global registry; tests bind
     /// their own for isolation.
     pub registry: Arc<Registry>,
-    /// Compute pool for request-wide work: the off-lock batch admission
-    /// and digest precompute and `GetProofBatch` fan out across it. The
-    /// seal always runs on the thread that holds the write lock. `None`
-    /// (the default) runs the same stages inline on the calling thread.
-    pub pool: Option<Arc<ledgerdb_pool::Pool>>,
 }
 
 impl Default for ServerConfig {
@@ -90,7 +85,6 @@ impl Default for ServerConfig {
             batch: BatchConfig::default(),
             admission: Admission::Verify,
             registry: Registry::global().clone(),
-            pool: None,
         }
     }
 }
@@ -396,15 +390,9 @@ mod tests {
     }
 
     #[test]
-    fn batched_endpoints_round_trip_with_pool() {
+    fn batched_endpoints_round_trip() {
         let (shared, alice) = shared(8);
-        let registry = Arc::new(Registry::new());
-        let pool = ledgerdb_pool::Pool::with_registry(3, &registry);
-        let config = ServerConfig {
-            registry: registry.clone(),
-            pool: Some(pool),
-            ..ServerConfig::default()
-        };
+        let config = ServerConfig { registry: Arc::new(Registry::new()), ..ServerConfig::default() };
         let server = Ledgerd::start(shared.clone(), config).unwrap();
         let mut remote = RemoteLedger::connect(server.local_addr()).unwrap();
 
@@ -445,26 +433,6 @@ mod tests {
         assert_eq!(proofs.len(), covered as usize + 1);
         assert!(proofs[..covered as usize].iter().all(|p| p.is_ok()));
         assert_eq!(proofs[covered as usize].as_ref().unwrap_err().code, ErrorCode::NotFound);
-
-        // The pool actually carried work for both stages.
-        let text = ledgerdb_telemetry::render(&registry);
-        let tasks = ledgerdb_telemetry::parse_value(&text, "ledger_pool_tasks_total").unwrap();
-        assert!(tasks > 0.0, "pool tasks should have run:\n{text}");
-        server.shutdown();
-    }
-
-    #[test]
-    fn batched_appends_match_serial_results_without_pool() {
-        // The same wire request against a pool-less server takes the
-        // serial batched path — same acks, same ledger state.
-        let (server, alice) = start(8);
-        let mut remote = RemoteLedger::connect(server.local_addr()).unwrap();
-        let requests: Vec<TxRequest> = (0..5u64)
-            .map(|i| TxRequest::signed(&alice, format!("serial-{i}").into_bytes(), vec![], i))
-            .collect();
-        let results = remote.append_batch(requests).unwrap();
-        let jsns: Vec<u64> = results.iter().map(|r| r.as_ref().unwrap().0).collect();
-        assert_eq!(jsns, vec![0, 1, 2, 3, 4]);
         server.shutdown();
     }
 

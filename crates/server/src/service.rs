@@ -49,15 +49,14 @@ pub struct RequestService {
     /// serializing on one WAL.
     committers: Vec<GroupCommitter>,
     admission: Admission,
-    pool: Option<Arc<ledgerdb_pool::Pool>>,
     registry: Arc<Registry>,
     pub metrics: ServerMetrics,
     shutdown: AtomicBool,
 }
 
 impl RequestService {
-    /// Wire a ledger to a config: the compute pool, the group committer,
-    /// and metric handles — exactly once, regardless of which transport
+    /// Wire a ledger to a config: the group committer and metric
+    /// handles — exactly once, regardless of which transport
     /// will drive requests.
     pub fn start(shared: SharedLedger, config: &ServerConfig) -> RequestService {
         Self::start_sharded(ShardedLedger::single(shared), config)
@@ -69,8 +68,6 @@ impl RequestService {
     /// the unsharded service: shard routing degenerates to shard 0 and
     /// jsn packing to the identity.
     pub fn start_sharded(sharded: ShardedLedger, config: &ServerConfig) -> RequestService {
-        // The committer fans each window's admission precompute out
-        // across the compute pool, off the write lock.
         let committers = sharded
             .shards()
             .iter()
@@ -80,7 +77,6 @@ impl RequestService {
                     config.batch,
                     config.admission,
                     &config.registry,
-                    config.pool.clone(),
                 )
             })
             .collect();
@@ -100,7 +96,6 @@ impl RequestService {
             sharded,
             committers,
             admission: config.admission,
-            pool: config.pool.clone(),
             registry: config.registry.clone(),
             metrics,
             shutdown: AtomicBool::new(false),
@@ -338,8 +333,8 @@ impl RequestService {
     /// committer's accumulation window buys nothing — each shard's share
     /// of the frame goes straight through
     /// [`SharedLedger::append_batch`], which prepares it (admission +
-    /// digests) off the write lock, across the compute pool when one is
-    /// configured.
+    /// digests) off the write lock, fanning the ECDSA admission out
+    /// across the cores.
     ///
     /// The frame's requests scatter to their shards preserving per-shard
     /// arrival order (which fixes each shard's jsn assignment) and the
@@ -378,7 +373,7 @@ impl RequestService {
             let _tag = self.shard_span(shard_id);
             let shard = self.sharded.shard(shard_id);
             let routed = batch.len();
-            let results = shard.append_batch(batch, self.admission, self.pool.as_deref());
+            let results = shard.append_batch(batch, self.admission);
             // Same sticky-durability discipline as single appends: an
             // auto-seal WAL failure surfaces on the request that
             // triggered it.
@@ -427,11 +422,9 @@ impl RequestService {
     /// per-item closure (see [`SharedLedger::prove_existence_batch`]): a
     /// sub-batch fully covered by the published
     /// [`ReadSnapshot`](ledgerdb_core::ReadSnapshot) is served
-    /// lock-free — fanned out across the compute pool when one is
-    /// configured — and anything else proves under a *single* read-lock
+    /// lock-free, and anything else proves under a *single* read-lock
     /// acquisition instead of one per item.
     fn handle_proof_batch(&self, jsns: Vec<u64>, anchor: TrustedAnchor) -> Response {
-        let pool = self.pool.as_deref();
         let mut by_shard: Vec<Vec<u64>> = (0..self.k()).map(|_| Vec::new()).collect();
         let mut origin: Vec<Result<(usize, usize), ErrorFrame>> = Vec::with_capacity(jsns.len());
         for &jsn in &jsns {
@@ -453,7 +446,7 @@ impl RequestService {
                 let _tag = self.shard_span(shard_id);
                 self.sharded
                     .shard(shard_id)
-                    .prove_existence_batch(locals, &anchor, pool)
+                    .prove_existence_batch(locals, &anchor)
                     .into_iter()
                     .map(Some)
                     .collect()

@@ -1,5 +1,5 @@
 //! Prometheus-style text exposition: encoder and a small line parser
-//! (used by `ledgerd-stats` assertions, `prof_append` and tests).
+//! (used by `ledgerd-stats` assertions and tests).
 
 use crate::metrics::{bucket_upper_bound, NUM_BUCKETS};
 use crate::registry::{Metric, Registry};

@@ -22,12 +22,18 @@
 //!
 //! Stage names are `&'static str` interned to small ids so a slot is
 //! seven words of atomics and carries no pointers.
+//!
+//! A ring outlives its thread: when a recording thread exits, its ring
+//! (events intact) goes to an idle list and the next new thread to
+//! record takes it over. So the ring count is bounded by the peak
+//! number of threads recording at once, however many short-lived
+//! threads (a batch's fan-out helpers) come and go.
 
 use crate::trace::{now_ns, TraceContext};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Events retained per recording thread before overwrite (~112 KiB).
+/// Events retained per ring before overwrite (~112 KiB).
 pub const RING_CAPACITY: usize = 2048;
 
 /// Slow or error-terminated traces retained in full after their rings
@@ -46,8 +52,9 @@ pub struct SpanEvent {
     pub end_ns: u64,
 }
 
-/// A span event plus the recorder-thread id that produced it (the
-/// Chrome-trace `tid`).
+/// A span event plus the id of the ring that holds it (the Chrome-trace
+/// `tid`). A ring serves one live thread at a time, so events of
+/// concurrently running threads never share a tid.
 #[derive(Debug, Clone, Copy)]
 pub struct ThreadedEvent {
     pub tid: u32,
@@ -193,6 +200,8 @@ pub struct PinnedTrace {
 
 struct Recorder {
     rings: Mutex<Vec<Arc<ThreadRing>>>,
+    /// Rings whose thread has exited, handed to the next new thread.
+    idle: Mutex<Vec<Arc<ThreadRing>>>,
     pinned: Mutex<std::collections::VecDeque<PinnedTrace>>,
 }
 
@@ -200,24 +209,40 @@ fn recorder() -> &'static Recorder {
     static RECORDER: OnceLock<Recorder> = OnceLock::new();
     RECORDER.get_or_init(|| Recorder {
         rings: Mutex::new(Vec::new()),
+        idle: Mutex::new(Vec::new()),
         pinned: Mutex::new(std::collections::VecDeque::new()),
     })
 }
 
+/// A thread's hold on its ring; returns the ring to the idle list when
+/// the thread exits. The idle list's mutex orders the old thread's last
+/// write before the next owner's first, so each ring keeps one writer.
+struct RingLease(Arc<ThreadRing>);
+
+impl Drop for RingLease {
+    fn drop(&mut self) {
+        let mut idle = recorder().idle.lock().unwrap_or_else(|e| e.into_inner());
+        idle.push(self.0.clone());
+    }
+}
+
 thread_local! {
-    static MY_RING: OnceLock<Arc<ThreadRing>> = const { OnceLock::new() };
+    static MY_RING: OnceLock<RingLease> = const { OnceLock::new() };
 }
 
 fn with_ring(f: impl FnOnce(&ThreadRing)) {
     MY_RING.with(|cell| {
-        let ring = cell.get_or_init(|| {
+        let lease = cell.get_or_init(|| {
             let global = recorder();
-            let mut rings = global.rings.lock().unwrap_or_else(|e| e.into_inner());
-            let ring = Arc::new(ThreadRing::new(rings.len() as u32 + 1));
-            rings.push(ring.clone());
-            ring
+            let reused = global.idle.lock().unwrap_or_else(|e| e.into_inner()).pop();
+            RingLease(reused.unwrap_or_else(|| {
+                let mut rings = global.rings.lock().unwrap_or_else(|e| e.into_inner());
+                let ring = Arc::new(ThreadRing::new(rings.len() as u32 + 1));
+                rings.push(ring.clone());
+                ring
+            }))
         });
-        f(ring);
+        f(&lease.0);
     });
 }
 
@@ -443,6 +468,29 @@ mod tests {
             slow_traces().iter().all(|p| p.trace != ctx.trace.0),
             "fast+ok is not pinned"
         );
+    }
+
+    #[test]
+    fn short_lived_threads_reuse_rings() {
+        // A thread per batch must not cost a ring per batch: each
+        // thread below records one event and exits before the next
+        // starts, so nearly all of them take over an idle ring. (Other
+        // tests' threads may take or return rings meanwhile; the
+        // bound leaves room for that.)
+        const THREADS: u64 = 64;
+        let trace = TraceId::mint();
+        for _ in 0..THREADS {
+            let span = crate::trace::next_span_id();
+            std::thread::spawn(move || record(event(trace.0, span, 0, "short_lived")))
+                .join()
+                .unwrap();
+        }
+        let tids: std::collections::BTreeSet<u32> = all_events()
+            .into_iter()
+            .filter(|te| te.event.trace == trace.0)
+            .map(|te| te.tid)
+            .collect();
+        assert!(tids.len() <= 8, "{THREADS} sequential threads used {} rings", tids.len());
     }
 
     #[test]

@@ -21,10 +21,9 @@
 //!   job in the current commit window; a span records one event per
 //!   member trace (the shared fsync barrier appears in each tree).
 //!
-//! Cross-thread stages (pool workers computing ECDSA precompute or
-//! batch proofs) capture [`current_scope`] before the fan-out and install
-//! it inside the worker closure, so worker spans land in the
-//! submitting request's tree.
+//! Cross-thread stages (the helper threads of a batch's ECDSA admission)
+//! capture [`current_scope`] before the fan-out and install it inside
+//! each helper, so helper spans land in the submitting request's tree.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -10,7 +10,6 @@ pub use ledgerdb_clue as clue;
 pub use ledgerdb_core as core;
 pub use ledgerdb_crypto as crypto;
 pub use ledgerdb_mpt as mpt;
-pub use ledgerdb_pool as pool;
 pub use ledgerdb_server as server;
 pub use ledgerdb_storage as storage;
 pub use ledgerdb_telemetry as telemetry;

@@ -22,7 +22,7 @@
 //! state a never-crashed process would have reached.
 
 use ledgerdb::core::recovery::{open_durable, CHECKPOINT_DIR};
-use ledgerdb::core::{LedgerConfig, LedgerDb, MemberRegistry, TxRequest};
+use ledgerdb::core::{LedgerConfig, MemberRegistry, TxRequest};
 use ledgerdb::crypto::ca::{CertificateAuthority, Role};
 use ledgerdb::crypto::keys::KeyPair;
 use ledgerdb::crypto::multisig::MultiSignature;
@@ -168,7 +168,9 @@ fn every_checkpoint_crash_point_recovers_byte_identical() {
     let io = Arc::new(CkptIo::new());
     let steps = drive(&control_dir, &registry, &m, Arc::clone(&io));
     let schedule = io.op_kinds();
-    let fps = control_fingerprints(&temp_dir("control-fp"), &registry, &m);
+    let fp_dir = temp_dir("control-fp");
+    let fps = control_fingerprints(&fp_dir, &registry, &m);
+    std::fs::remove_dir_all(&fp_dir).ok();
     assert_eq!(steps + 1, fps.len(), "one fingerprint per completed step");
     assert_eq!(steps, 11, "the whole workload completes without injection");
     assert!(
@@ -357,7 +359,9 @@ fn purged_payloads_never_resurrect_across_crash_points() {
     let steps = drive_purge(&control_dir, &registry, &m, Arc::clone(&io));
     assert_eq!(steps, 7, "the whole workload completes without injection");
     let schedule = io.op_kinds();
-    let fps = control_purge_fingerprints(&temp_dir("purge-control-fp"), &registry, &m);
+    let fp_dir = temp_dir("purge-control-fp");
+    let fps = control_purge_fingerprints(&fp_dir, &registry, &m);
+    std::fs::remove_dir_all(&fp_dir).ok();
     assert_eq!(steps + 1, fps.len());
     // The never-crashed end state is itself marker-free.
     let payload_log =
@@ -433,7 +437,9 @@ fn killed_checkpoint_still_bounds_the_wal_tail() {
     // four checkpoints committed and reset the WAL, so even with the
     // fifth dead, replay is bounded by one block's records.
     let io = Arc::new(CkptIo::new());
-    let probe = drive(&temp_dir("tailbound-probe"), &registry, &m, Arc::clone(&io));
+    let probe_dir = temp_dir("tailbound-probe");
+    let probe = drive(&probe_dir, &registry, &m, Arc::clone(&io));
+    std::fs::remove_dir_all(&probe_dir).ok();
     assert_eq!(probe, 11);
     let total = io.op_count();
     let io = Arc::new(CkptIo::new());

@@ -1,23 +1,23 @@
 //! Differential determinism suite for the append path.
 //!
 //! Every batched append enters through one function,
-//! `SharedLedger::append_batch(requests, admission, pool)`. This suite
-//! pins what that entry must keep producing: for seeded schedules that
+//! `SharedLedger::append_batch(requests, admission)`. This suite pins
+//! what that entry must keep producing: for seeded schedules that
 //! interleave batches, seals, occults and a purge, the fingerprint —
 //! roots, the wire-encoded block chain, receipts, existence proofs —
 //! equals a constant **recorded at the parent commit** (ece0059, the
 //! last tree that still had the serial in-lock `append_batch` and the
-//! `_pipelined` / `_preverified` variants; there, serial and pooled
-//! replays produced these same bytes). It must hold for every
-//! `pool ∈ {none, 1 worker, 4 workers}` × `Admission ∈ {Verify,
-//! ProxyTrusted}`, and for a plain `LedgerDb::append` + seal loop that
-//! shares none of the batched code — the retained independent
+//! `_pipelined` / `_preverified` variants; there, serial and parallel
+//! replays produced these same bytes). It must hold for both
+//! `Admission ∈ {Verify, ProxyTrusted}` (only `Verify` fans its ECDSA
+//! out across threads), and for a plain `LedgerDb::append` + seal loop
+//! that shares none of the batched code — the retained independent
 //! reference.
 //!
 //! Plus the rejection contract (unknown member and bad π_c are
-//! positional per-item errors) and pool torture: a panicking pool task
-//! must neither wedge the pool nor poison the ledger, and surfaces as a
-//! typed per-item error.
+//! positional per-item errors) and panic torture: a failed item is a
+//! typed per-item error that poisons neither its batch nor the ledger,
+//! and a panic under the ledger lock does not wedge later batches.
 
 use ledgerdb::core::{
     Admission, LedgerConfig, LedgerDb, LedgerError, MemberRegistry, OccultMode, SharedLedger,
@@ -28,13 +28,10 @@ use ledgerdb::crypto::keys::KeyPair;
 use ledgerdb::crypto::multisig::MultiSignature;
 use ledgerdb::crypto::sha256::sha256;
 use ledgerdb::crypto::wire::Wire;
-use ledgerdb::pool::Pool;
-use ledgerdb::telemetry::Registry;
-use std::sync::Arc;
 
 /// `(schedule seed, block size, sha256 of the fingerprint)` — produced
 /// by the parent commit's serial `append_batch` replay (and asserted
-/// equal to its pooled replay there).
+/// equal to its parallel replay there).
 const PINNED: [(u64, u64, &str); 7] = [
     (3, 4, "15280b1c1a74b101eb3e0ca560577ef99539116ddf29a17a22a14e8c18589c1b"),
     (3, 16, "a476984bcead5cf1e4e8390e22332599107d7308d244e9246cea738577b811b9"),
@@ -135,26 +132,23 @@ fn schedule(w: &World, seed: u64) -> Vec<Op> {
 }
 
 /// How a replay feeds a schedule's batches to the ledger.
-enum Feed<'a> {
+enum Feed {
     /// The single batched entry.
-    Batched(Admission, Option<&'a Arc<Pool>>),
+    Batched(Admission),
     /// One `LedgerDb::append` per request under the write lock — no
     /// prepare stage, no batch commit, no shared barrier.
     Reference,
 }
 
 /// Replay `ops` against `w`.
-fn replay(w: &World, ops: &[Op], feed: &Feed<'_>) {
+fn replay(w: &World, ops: &[Op], feed: &Feed) {
     let mut occulted = std::collections::HashSet::new();
     let mut purged_to = 0u64;
     for op in ops {
         match op {
             Op::Batch(requests) => match feed {
-                Feed::Batched(admission, pool) => {
-                    let results = w
-                        .shared
-                        .append_batch(requests.clone(), *admission, pool.map(|p| &**p))
-                        .unwrap();
+                Feed::Batched(admission) => {
+                    let results = w.shared.append_batch(requests.clone(), *admission).unwrap();
                     for r in results {
                         r.unwrap();
                     }
@@ -238,22 +232,13 @@ fn pin(w: &World) -> String {
 }
 
 #[test]
-fn every_pool_and_admission_reproduces_the_parent_fingerprints() {
-    let pool_one = Pool::with_registry(1, &Registry::new());
-    let pool_many = Pool::with_registry(4, &Registry::new());
+fn every_admission_reproduces_the_parent_fingerprints() {
     for (seed, block_size, pinned) in PINNED {
         for admission in [Admission::Verify, Admission::ProxyTrusted] {
-            for pool in [None, Some(&pool_one), Some(&pool_many)] {
-                let w = world(block_size);
-                let ops = schedule(&w, seed);
-                replay(&w, &ops, &Feed::Batched(admission, pool));
-                assert_eq!(
-                    pin(&w),
-                    pinned,
-                    "seed {seed}, block_size {block_size}, {admission:?}, {} pool workers",
-                    pool.map_or(0, |p| p.workers()),
-                );
-            }
+            let w = world(block_size);
+            let ops = schedule(&w, seed);
+            replay(&w, &ops, &Feed::Batched(admission));
+            assert_eq!(pin(&w), pinned, "seed {seed}, block_size {block_size}, {admission:?}");
         }
     }
 }
@@ -273,38 +258,35 @@ fn plain_append_loop_reproduces_the_parent_fingerprints() {
 
 #[test]
 fn rejections_are_positional_under_both_admissions() {
-    let pool = Pool::with_registry(2, &Registry::new());
     for admission in [Admission::Verify, Admission::ProxyTrusted] {
-        for pool in [None, Some(&*pool)] {
-            let w = world(16);
-            let mallory = KeyPair::from_seed(b"diff-mallory");
-            let tx = |keys: &KeyPair, i: u64| {
-                TxRequest::signed(keys, format!("p-{i}").into_bytes(), vec!["c".into()], i)
-            };
-            let mut tampered = tx(&w.alice, 2);
-            tampered.payload = b"tampered in flight".to_vec();
-            let batch = vec![tx(&w.alice, 0), tx(&mallory, 1), tampered, tx(&w.bob, 3)];
-            let results = w.shared.append_batch(batch, admission, pool).unwrap();
-            assert_eq!(results.len(), 4);
-            assert_eq!(results[0].as_ref().unwrap().jsn, 0);
-            // Membership is enforced whoever checked π_c.
-            assert!(matches!(results[1], Err(LedgerError::UnknownMember)), "{admission:?}");
-            match admission {
-                // The server checks π_c itself: the tampered request is
-                // refused in place and consumes no jsn.
-                Admission::Verify => {
-                    assert!(matches!(results[2], Err(LedgerError::BadClientSignature)));
-                    assert_eq!(results[3].as_ref().unwrap().jsn, 1);
-                }
-                // π_c is the proxy tier's job: the kernel does not look.
-                Admission::ProxyTrusted => {
-                    assert_eq!(results[2].as_ref().unwrap().jsn, 1);
-                    assert_eq!(results[3].as_ref().unwrap().jsn, 2);
-                }
+        let w = world(16);
+        let mallory = KeyPair::from_seed(b"diff-mallory");
+        let tx = |keys: &KeyPair, i: u64| {
+            TxRequest::signed(keys, format!("p-{i}").into_bytes(), vec!["c".into()], i)
+        };
+        let mut tampered = tx(&w.alice, 2);
+        tampered.payload = b"tampered in flight".to_vec();
+        let batch = vec![tx(&w.alice, 0), tx(&mallory, 1), tampered, tx(&w.bob, 3)];
+        let results = w.shared.append_batch(batch, admission).unwrap();
+        assert_eq!(results.len(), 4);
+        assert_eq!(results[0].as_ref().unwrap().jsn, 0);
+        // Membership is enforced whoever checked π_c.
+        assert!(matches!(results[1], Err(LedgerError::UnknownMember)), "{admission:?}");
+        match admission {
+            // The server checks π_c itself: the tampered request is
+            // refused in place and consumes no jsn.
+            Admission::Verify => {
+                assert!(matches!(results[2], Err(LedgerError::BadClientSignature)));
+                assert_eq!(results[3].as_ref().unwrap().jsn, 1);
             }
-            let accepted = results.iter().filter(|r| r.is_ok()).count() as u64;
-            assert_eq!(w.shared.journal_count(), accepted, "rejections consumed no slot");
+            // π_c is the proxy tier's job: the kernel does not look.
+            Admission::ProxyTrusted => {
+                assert_eq!(results[2].as_ref().unwrap().jsn, 1);
+                assert_eq!(results[3].as_ref().unwrap().jsn, 2);
+            }
         }
+        let accepted = results.iter().filter(|r| r.is_ok()).count() as u64;
+        assert_eq!(w.shared.journal_count(), accepted, "rejections consumed no slot");
     }
 }
 
@@ -315,37 +297,34 @@ fn member_dropped_between_prepare_and_lock_is_rejected_in_place() {
     // is taken. Dropping bob from the live registry without a publish
     // reproduces exactly that window: prepare admits him, the locked
     // membership re-check refuses him, and alice's items are unaffected.
-    let pool = Pool::with_registry(2, &Registry::new());
     for admission in [Admission::Verify, Admission::ProxyTrusted] {
-        for pool in [None, Some(&*pool)] {
-            let w = world(16);
-            w.shared.with_write(|l| {
-                let ca = CertificateAuthority::from_seed(b"diff-ca");
-                let mut without_bob = MemberRegistry::new(*ca.public_key());
-                without_bob.register(ca.issue("alice", Role::User, w.alice.public())).unwrap();
-                *l.registry_mut() = without_bob;
-            });
-            assert!(
-                w.shared.verify_request(&TxRequest::signed(&w.bob, vec![1], vec![], 9)).is_ok(),
-                "the snapshot registry still admits bob off-lock"
-            );
-            let batch = vec![
-                TxRequest::signed(&w.alice, b"a0".to_vec(), vec![], 0),
-                TxRequest::signed(&w.bob, b"b1".to_vec(), vec![], 1),
-                TxRequest::signed(&w.alice, b"a2".to_vec(), vec![], 2),
-            ];
-            let results = w.shared.append_batch(batch, admission, pool).unwrap();
-            assert_eq!(results[0].as_ref().unwrap().jsn, 0);
-            assert!(matches!(results[1], Err(LedgerError::UnknownMember)), "{admission:?}");
-            assert_eq!(results[2].as_ref().unwrap().jsn, 1);
-            assert_eq!(w.shared.journal_count(), 2);
-        }
+        let w = world(16);
+        w.shared.with_write(|l| {
+            let ca = CertificateAuthority::from_seed(b"diff-ca");
+            let mut without_bob = MemberRegistry::new(*ca.public_key());
+            without_bob.register(ca.issue("alice", Role::User, w.alice.public())).unwrap();
+            *l.registry_mut() = without_bob;
+        });
+        assert!(
+            w.shared.verify_request(&TxRequest::signed(&w.bob, vec![1], vec![], 9)).is_ok(),
+            "the snapshot registry still admits bob off-lock"
+        );
+        let batch = vec![
+            TxRequest::signed(&w.alice, b"a0".to_vec(), vec![], 0),
+            TxRequest::signed(&w.bob, b"b1".to_vec(), vec![], 1),
+            TxRequest::signed(&w.alice, b"a2".to_vec(), vec![], 2),
+        ];
+        let results = w.shared.append_batch(batch, admission).unwrap();
+        assert_eq!(results[0].as_ref().unwrap().jsn, 0);
+        assert!(matches!(results[1], Err(LedgerError::UnknownMember)), "{admission:?}");
+        assert_eq!(results[2].as_ref().unwrap().jsn, 1);
+        assert_eq!(w.shared.journal_count(), 2);
     }
 }
 
 #[test]
 fn injected_task_failure_is_typed_and_does_not_poison_the_batch() {
-    // A pool-task panic reaches the kernel entry as a per-item
+    // A panicking admission item reaches the kernel entry as a per-item
     // `LedgerError::TaskFailed`; siblings commit with dense jsns.
     let w = world(16);
     let good = |i: u64| {
@@ -375,17 +354,17 @@ fn injected_task_failure_is_typed_and_does_not_poison_the_batch() {
 }
 
 #[test]
-fn panicking_pool_tasks_do_not_wedge_the_pool_or_the_ledger() {
-    // Torture: hammer the SAME pool the ledger uses with panicking
-    // tasks between batches. Every batch must still commit, and the
-    // final ledger must match the pinned bytes.
-    let pooled = world(8);
-    let pool = Pool::with_registry(2, &Registry::new());
+fn panics_under_the_ledger_lock_do_not_wedge_the_ledger() {
+    // Torture: panic while holding the ledger's write lock between
+    // batches (poisoning the std lock underneath). Every batch must
+    // still fan its admission out and commit, and the final ledger must
+    // match the pinned bytes.
+    let w = world(8);
     for round in 0..8u64 {
         let batch: Vec<TxRequest> = (0..6u64)
             .map(|i| {
                 TxRequest::signed(
-                    &pooled.alice,
+                    &w.alice,
                     format!("t-{round}-{i}").into_bytes(),
                     vec![format!("t{}", i % 2)],
                     round * 100 + i,
@@ -393,26 +372,16 @@ fn panicking_pool_tasks_do_not_wedge_the_pool_or_the_ledger() {
             })
             .collect();
 
-        // Panic storm on the shared pool.
         let stormed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                for i in 0..4 {
-                    s.spawn(move || {
-                        if i % 2 == 0 {
-                            panic!("torture round {round} task {i}");
-                        }
-                    });
-                }
-            });
+            w.shared.with_write(|_| panic!("torture round {round}"));
         }));
-        assert!(stormed.is_err(), "scope must re-raise the task panic");
+        assert!(stormed.is_err(), "the panic must reach the caller");
 
-        // The pool still prepares the batch correctly.
-        let results = pooled.shared.append_batch(batch, Admission::Verify, Some(&*pool)).unwrap();
+        let results = w.shared.append_batch(batch, Admission::Verify).unwrap();
         for r in results {
             r.unwrap();
         }
-        pooled.shared.try_seal_block().unwrap();
+        w.shared.try_seal_block().unwrap();
     }
-    assert_eq!(pin(&pooled), PINNED_TORTURE);
+    assert_eq!(pin(&w), PINNED_TORTURE);
 }

@@ -167,7 +167,7 @@ fn k1_sharded_service_is_byte_identical_to_a_plain_ledger() {
     }
     // A pre-batched frame runs the scatter/gather code with one shard:
     // its acks must be the plain ledger's, position for position.
-    let acks = direct.append_batch(framed.to_vec(), Admission::Verify, None).unwrap();
+    let acks = direct.append_batch(framed.to_vec(), Admission::Verify).unwrap();
     let expected = Response::AppendBatchResult(
         acks.into_iter()
             .map(|ack| ack.map(|a| AppendedAck { jsn: a.jsn, tx_hash: a.tx_hash }).map_err(|e| {
@@ -211,7 +211,7 @@ fn k1_sharded_service_is_byte_identical_to_a_plain_ledger() {
     let served = service.handle(Request::GetProofBatch { jsns: jsns.clone(), anchor: anchor.clone() });
     let expected = Response::ProofBatch(
         direct
-            .prove_existence_batch(&jsns, &anchor, None)
+            .prove_existence_batch(&jsns, &anchor)
             .into_iter()
             .map(|item| {
                 item.map(|(tx_hash, proof)| ProofItem { tx_hash, proof })

@@ -56,7 +56,6 @@ fn writers_and_readers(use_group_commit: bool) {
             BatchConfig { max_batch: 16, max_delay: Duration::from_millis(2) },
             Admission::Verify,
             Registry::global(),
-            None,
         )
     });
     let done = AtomicBool::new(false);

@@ -5,7 +5,7 @@
 //! striped over per-thread slots and summed on read).
 //!
 //! `crypto.sha256_finalizes_per_append` / `_per_prove` and
-//! `prof_append`'s in-lock assertions are built on this.
+//! `tests/lock_window.rs`'s in-lock assertions are built on this.
 
 use ledgerdb::crypto::counters::sha256_finalizes;
 use ledgerdb::crypto::digest::hash_many;

@@ -29,8 +29,8 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A durable service with group commit and a compute pool — the
-/// configuration where every traced stage is live.
+/// A durable service with group commit — the configuration where every
+/// traced stage is live.
 fn durable_service(tag: &str) -> (RequestService, KeyPair, Arc<Registry>, PathBuf) {
     let ca = CertificateAuthority::from_seed(format!("trace-{tag}").as_bytes());
     let alice = KeyPair::from_seed(format!("trace-{tag}-alice").as_bytes());
@@ -47,11 +47,7 @@ fn durable_service(tag: &str) -> (RequestService, KeyPair, Arc<Registry>, PathBu
         &telemetry,
     )
     .unwrap();
-    let config = ServerConfig {
-        registry: telemetry.clone(),
-        pool: Some(ledgerdb::pool::Pool::with_registry(2, &telemetry)),
-        ..ServerConfig::default()
-    };
+    let config = ServerConfig { registry: telemetry.clone(), ..ServerConfig::default() };
     let service = RequestService::start(SharedLedger::new(ledger), &config);
     (service, alice, telemetry, dir)
 }
@@ -172,17 +168,28 @@ fn seal_leg_spans_agree_with_seal_metrics() {
                 .map(|s| s.end_ns.saturating_sub(s.start_ns))
                 .sum::<u64>();
         }
-    }
 
-    // One write path: every seal hashes its three roots on the thread
-    // that holds the write lock, so the service's 2-worker pool runs
-    // no task for them (one-request windows never fan out either).
+        // One write path: the seal hashes its three roots on the thread
+        // that holds the write lock (the committer's), never on another.
+        let events = recorder::all_events();
+        let tids = |name: &str| -> Vec<u32> {
+            events
+                .iter()
+                .filter(|e| e.event.trace == trace_id && recorder::name_of(e.event.name_id) == name)
+                .map(|e| e.tid)
+                .collect()
+        };
+        let holder = tids("locked_insert");
+        assert!(!holder.is_empty(), "locked_insert missing from trace {trace_id:016x}");
+        for leg in legs {
+            let leg_tids = tids(leg);
+            assert!(
+                !leg_tids.is_empty() && leg_tids.iter().all(|tid| holder.contains(tid)),
+                "{leg} ran on recorder threads {leg_tids:?}, the lock holder on {holder:?}"
+            );
+        }
+    }
     assert_eq!(telemetry.counter("ledger_seals_total").get(), sealed);
-    assert_eq!(
-        telemetry.counter("ledger_pool_tasks_total").get(),
-        0,
-        "a seal must not hand its legs to the pool"
-    );
 
     // The `ledger_seal_*_seconds` histograms time the same work from
     // the metrics side. Counts must match the seal count exactly and
